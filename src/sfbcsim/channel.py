@@ -6,9 +6,10 @@ normalized to unit total.  Fading is Rician per tap zero (line-of-sight
 share set by the K factor) over Rayleigh scatter with a Jakes Doppler
 spectrum, spatially correlated across the four links via the Kronecker
 model.  The realization is generated directly in the frequency domain,
-one complex gain per link, subcarrier and OFDM symbol, which matches the
-per-subcarrier multiplicative model y = Hx + n that a cyclic prefix
-longer than the delay spread licenses.
+one complex gain per link, subcarrier and OFDM symbol, and applied as
+y = Hx + n per resource element.  No inter-symbol interference is modelled,
+even where a tap outlasts the cyclic prefix (5.2 us at 6 RB, while bad_urban
+and hilly_terrain reach 6.6 and 17.2 us).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Configuration loading, sweep orchestration, and result emission.
 
 Scenario files are flat `key = value` text (``#`` starts a comment); the
-keys are the ScenarioConfig field names.  Results are written as CSV with
+keys are the ScenarioConfig field names, plus the fixed keys of the paper's
+link, which are checked and dropped.  Results are written as CSV with
 the frozen column set ``snr_db,total_bits,bit_errors,ber,n_trials,seed``,
 as JSON carrying the scenario metadata block, or as a self-contained SVG
 plot of BER against SNR.  All three are deterministic functions of the
@@ -20,9 +21,10 @@ import sys
 from pathlib import Path
 
 from .channel import ENVIRONMENT_NAMES, build_environment
+from .grid import RB_BANDWIDTH_MHZ
 from .harness import BerRecord, ScenarioConfig, SimulationError, run_sweep
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 CSV_HEADER = "snr_db,total_bits,bit_errors,ber,n_trials,seed"
 
@@ -31,43 +33,44 @@ class ConfigError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
-def _parse_snr_list(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"snr_db: {exc}") from None
+# one parser per ScenarioConfig field type (the annotations are strings)
+_TYPE_PARSERS = {
+    "tuple[float, ...]": lambda text: tuple(float(p) for p in text.replace(",", " ").split()),
+    "int": int,
+    "int | None": lambda text: None if text.lower() in ("auto", "none") else int(text),
+    "float": float,
+    "str": str,
+    "str | None": str,
+}
+
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+                  for f in dataclasses.fields(ScenarioConfig)}
 
 
-def _parse_optional_int(text: str):
-    return None if text.lower() in ("auto", "none") else int(text)
+def _one_of(*allowed: str):
+    def check(key: str, text: str, config: ScenarioConfig) -> None:
+        if text.lower() not in allowed:
+            raise ValueError(f"{key} must be {' or '.join(allowed)}, got {text!r}")
+    return check
 
 
-_FIELD_PARSERS = {
-    "snr_db": _parse_snr_list,
-    "modulation": int,
-    "n_rb": int,
-    "bandwidth_mhz": float,
-    "fft_size": _parse_optional_int,
-    "n_frames": int,
-    "transmission_mode": str,
-    "duplex": str,
-    "tdd_config": int,
-    "structure": str,
-    "environment": str,
-    "env_file": str,
-    "channel_type": str,
-    "k_factor": float,
-    "speed_kmh": float,
-    "carrier_freq_ghz": float,
-    "tx_corr": float,
-    "rx_corr": float,
-    "pairing": str,
-    "csi": str,
-    "min_bits": int,
-    "max_bits": _parse_optional_int,
-    "seed": int,
-    "name": str,
+def _pairs_with_n_rb(key: str, text: str, config: ScenarioConfig) -> None:
+    mhz = RB_BANDWIDTH_MHZ[config.n_rb]
+    if abs(float(text) - mhz) > 1e-9:
+        raise ValueError(f"{config.n_rb} resource blocks pair with {mhz} MHz, "
+                         f"not {float(text)} MHz")
+
+
+# Keys of the paper's fixed 2x2 SFBC LTE FDD downlink frame: accepted only with
+# these values (case-insensitive) and not stored, as the simulation reads none
+# of them.  Fading follows k_factor whatever the channel_type; n_rb sets the bandwidth.
+_FIXED_KEYS = {
+    "transmission_mode": _one_of("sfbc_2x2_downlink"),
+    "duplex": _one_of("fdd"),
+    "tdd_config": _one_of("0"),
+    "structure": _one_of("frame"),
+    "channel_type": _one_of("rayleigh", "rician"),
+    "bandwidth_mhz": _pairs_with_n_rb,
 }
 
 
@@ -85,21 +88,25 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELD_PARSERS and key not in _FIXED_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate field {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](text)
-        except (ValueError, ConfigError) as exc:
+            values[key] = _FIELD_PARSERS.get(key, str)(text)
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from None
     if "snr_db" not in values:
         raise ConfigError(f"{path}: missing required field 'snr_db'")
     values.setdefault("name", path.stem)
+    fixed = {key: values.pop(key) for key in _FIXED_KEYS if key in values}
     try:
-        return ScenarioConfig(**values)
+        config = ScenarioConfig(**values)
+        for key, text in fixed.items():
+            _FIXED_KEYS[key](key, text, config)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
 def _format_float(value: float) -> str:
@@ -139,9 +146,7 @@ def emit_json(records: list[BerRecord], path,
         rows.append(row)
     payload = {"format_version": FORMAT_VERSION, "records": rows}
     if config is not None:
-        scenario = dataclasses.asdict(config)
-        scenario["config_hash"] = config.config_hash()
-        payload["scenario"] = scenario
+        payload["scenario"] = {**config.metadata(), "config_hash": config.config_hash()}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
@@ -256,6 +261,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sfbcsim",
                      description="LTE downlink SFBC 2x2 MIMO link-level simulator")
@@ -268,7 +280,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--plot", action="store_true", help="also write an SVG plot")
     sweep.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel trial workers (at most the CPU count are used)")
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("config")
@@ -292,7 +305,7 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
 
 def _cmd_sweep(args) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
-    records = run_sweep(config, n_jobs=max(1, args.jobs))
+    records = run_sweep(config, n_jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem

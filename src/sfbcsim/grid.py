@@ -53,7 +53,7 @@ class GridDimensions:
 
     @property
     def cp_len(self) -> int:
-        # flat cyclic prefix; only "multipath delay <= CP" matters here
+        # flat cyclic prefix; it sets the symbol period and bounds no tap delay
         return math.ceil(self.fft_size / SYMBOLS_PER_SUBFRAME)
 
     @property

@@ -21,26 +21,27 @@ Seed splitting is bit-exact and reproducible:
 * inside a trial, the bit/channel/noise streams use
   SeedSequence(trial_seed, spawn_key=(j,)) for j = 0, 1, 2
 
-Sweep points therefore parallelize freely; results are accumulated in
-trial order, so byte-identical output is produced regardless of the
-worker count.
+A trial's seed depends only on its point and index.  run_sweep runs the
+points one after another; with n_jobs > 1 each point runs its trials in waves
+on at most os.cpu_count() threads and accumulates them in trial order, so the
+output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import channel as chan
 from . import modem, pilots, sfbc
-from .grid import (GridDimensions, RB_BANDWIDTH_MHZ, ofdm_demodulate,
-                   ofdm_modulate, zero_pad)
+from .grid import GridDimensions, ofdm_demodulate, ofdm_modulate, zero_pad
 
 # total transmit power is held constant versus a single antenna
 ANTENNA_AMPLITUDE = 1.0 / math.sqrt(2.0)
@@ -68,16 +69,10 @@ class ScenarioConfig:
     snr_db: tuple[float, ...]
     modulation: int = 4
     n_rb: int = 6
-    bandwidth_mhz: float = 1.4
     fft_size: int | None = None
     n_frames: int = 4
-    transmission_mode: str = "sfbc_2x2_downlink"
-    duplex: str = "fdd"
-    tdd_config: int = 0
-    structure: str = "frame"
     environment: str = "user_defined"
     env_file: str | None = None
-    channel_type: str = "rayleigh"
     k_factor: float = 1000.0
     speed_kmh: float = 3.0
     carrier_freq_ghz: float = 2.7
@@ -94,23 +89,6 @@ class ScenarioConfig:
         if self.modulation not in modem.QAM_ORDERS:
             raise ValueError(f"modulation must be one of {modem.QAM_ORDERS}, "
                              f"got {self.modulation}")
-        if self.n_rb not in RB_BANDWIDTH_MHZ:
-            raise ValueError(f"n_rb must be one of {sorted(RB_BANDWIDTH_MHZ)}, "
-                             f"got {self.n_rb}")
-        if abs(RB_BANDWIDTH_MHZ[self.n_rb] - self.bandwidth_mhz) > 1e-9:
-            raise ValueError(
-                f"{self.n_rb} resource blocks pair with "
-                f"{RB_BANDWIDTH_MHZ[self.n_rb]} MHz, not {self.bandwidth_mhz} MHz")
-        if self.duplex.lower() != "fdd":
-            raise ValueError("only FDD duplexing is supported")
-        if self.tdd_config != 0:
-            raise ValueError("tdd_config must be 0 (FDD only)")
-        if self.transmission_mode.lower() != "sfbc_2x2_downlink":
-            raise ValueError("transmission_mode must be sfbc_2x2_downlink")
-        if self.structure.lower() != "frame":
-            raise ValueError("structure must be 'frame'")
-        if self.channel_type.lower() not in ("rayleigh", "rician"):
-            raise ValueError("channel_type must be rayleigh or rician")
         if not self.snr_db:
             raise ValueError("snr_db list must not be empty")
         if any(not math.isfinite(s) for s in self.snr_db):
@@ -125,7 +103,8 @@ class ScenarioConfig:
             raise ValueError("n_frames must be at least 1")
         if self.max_bits is not None and self.max_bits < self.min_bits:
             raise ValueError("max_bits must be >= min_bits")
-        # environment / fading validation happens in their constructors
+        # grid, environment and fading validation happens in their constructors
+        self.dims()
         self.build_environment()
         self.fading()
 
@@ -153,8 +132,13 @@ class ScenarioConfig:
         # default sample budget: the configured number of frames of payload
         return max(self.n_frames * 10 * self.bits_per_trial(), self.min_bits)
 
+    def metadata(self) -> dict:
+        """Every field plus the resolved tap table, which env_file alone does not fix."""
+        env = self.build_environment()
+        return {**asdict(self), "tap_delays_s": env.delays_s, "tap_powers_db": env.powers_db}
+
     def config_hash(self) -> str:
-        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
+        parts = [f"{key}={value!r}" for key, value in self.metadata().items()]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
@@ -343,6 +327,7 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     stops below `min_bits`.
     """
     engine = _engine(config)
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
     return [_run_point(engine, config, float(config.snr_db[i]), rank, n_jobs)
             for rank, i in enumerate(order)]

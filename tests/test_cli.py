@@ -42,13 +42,50 @@ class TestLoadConfig:
         for preset in presets:
             cfg = load_config(preset)
             assert cfg.tx_corr == 0.5 and cfg.k_factor == 1000.0
-            assert cfg.n_rb == 6 and cfg.bandwidth_mhz == 1.4
+            assert cfg.n_rb == 6 and cfg.dims().bandwidth_mhz == 1.4
 
     def test_bandwidth_pair_violation_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n_rb = 6\nbandwidth_mhz = 20\nsnr_db = 0\n")
         with pytest.raises(ConfigError, match="resource blocks"):
             load_config(path)
+
+    def test_all_bandwidth_pairs_accepted(self, tmp_path):
+        path = tmp_path / "bw.cfg"
+        for n_rb, bw in ((6, 1.4), (15, 3.0), (25, 5.0), (50, 10.0),
+                         (75, 15.0), (100, 20.0)):
+            path.write_text(f"n_rb = {n_rb}\nbandwidth_mhz = {bw}\nsnr_db = 0\n")
+            assert load_config(path).dims().bandwidth_mhz == bw
+
+    def test_tdd_rejected(self, tmp_path):
+        path = tmp_path / "tdd.cfg"
+        for line in ("duplex = tdd", "tdd_config = 1"):
+            path.write_text(f"{line}\nsnr_db = 0\n")
+            with pytest.raises(ConfigError, match=line.split()[0]):
+                load_config(path)
+
+    @pytest.mark.parametrize("line", ["transmission_mode = sfbc_4x4_downlink",
+                                      "structure = slot", "channel_type = nakagami"])
+    def test_fixed_key_bad_value_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{line}\nsnr_db = 0\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(path)
+
+    def test_fixed_keys_case_insensitive_and_not_stored(self, tmp_path):
+        path = tmp_path / "upper.cfg"
+        path.write_text("duplex = FDD\nchannel_type = Rician\nsnr_db = 0\n")
+        cfg = load_config(path)
+        assert not hasattr(cfg, "duplex") and not hasattr(cfg, "channel_type")
+
+    @pytest.mark.parametrize("fft_size", [100, 64])
+    def test_bad_fft_size_rejected(self, tmp_path, capsys, fft_size):
+        path = tmp_path / "fft.cfg"
+        path.write_text(f"n_rb = 6\nfft_size = {fft_size}\nsnr_db = 0\n")
+        with pytest.raises(ConfigError, match="fft_size"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 1
+        assert "fft_size" in capsys.readouterr().err
 
     def test_missing_snr_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -104,8 +141,11 @@ class TestEmitJson:
         emit_json(make_records(), b, cfg)
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["scenario"]["seed"] == 3
+        assert payload["scenario"]["tap_delays_s"] == [0.0]
+        assert payload["scenario"]["tap_powers_db"] == [0.0]
+        assert "bandwidth_mhz" not in payload["scenario"]
         assert len(payload["scenario"]["config_hash"]) == 16
         row = payload["records"][0]
         assert set(row) == {"snr_db", "total_bits", "bit_errors", "ber",
@@ -210,6 +250,14 @@ class TestMain:
         assert main(["sweep", str(small_config), "--out", str(a), "--jobs", "1"]) == 0
         assert main(["sweep", str(small_config), "--out", str(b), "--jobs", "8"]) == 0
         assert (a / "smoke.csv").read_bytes() == (b / "smoke.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_usage_error(self, small_config, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir),
+                     "--jobs", jobs]) == 1
+        assert "usage" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_seed_flag_overrides(self, small_config, tmp_path):
         out_dir = tmp_path / "results"

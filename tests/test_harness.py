@@ -18,16 +18,13 @@ class TestScenarioConfig:
     def test_shipped_defaults_accepted(self):
         cfg = make_config()
         assert cfg.k_factor == 1000.0 and cfg.tx_corr == 0.5
-        assert cfg.n_rb == 6 and cfg.bandwidth_mhz == 1.4
+        assert cfg.n_rb == 6 and cfg.dims().bandwidth_mhz == 1.4
 
     def test_bandwidth_pairing_enforced(self):
+        # n_rb must come from the bandwidth table, and it alone sets the bandwidth
         with pytest.raises(ValueError):
-            make_config(n_rb=6, bandwidth_mhz=20.0)
-
-    def test_all_bandwidth_pairs_accepted(self):
-        for n_rb, bw in ((6, 1.4), (15, 3.0), (25, 5.0), (50, 10.0),
-                         (75, 15.0), (100, 20.0)):
-            make_config(n_rb=n_rb, bandwidth_mhz=bw)
+            make_config(n_rb=7)
+        assert make_config(n_rb=100).dims().bandwidth_mhz == 20.0
 
     def test_empty_snr_rejected(self):
         with pytest.raises(ValueError):
@@ -36,12 +33,6 @@ class TestScenarioConfig:
     def test_min_bits_floor(self):
         with pytest.raises(ValueError):
             make_config(min_bits=5000)
-
-    def test_tdd_rejected(self):
-        with pytest.raises(ValueError):
-            make_config(duplex="tdd")
-        with pytest.raises(ValueError):
-            make_config(tdd_config=1)
 
     def test_unknown_environment_rejected(self):
         with pytest.raises(ValueError):
@@ -61,6 +52,15 @@ class TestScenarioConfig:
         a, b = make_config(), make_config()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != make_config(seed=2).config_hash()
+
+    def test_config_hash_covers_tap_table(self, tmp_path):
+        taps = tmp_path / "taps.txt"
+        taps.write_text("0.0 0\n")
+        cfg = make_config(env_file=str(taps))
+        before = cfg.config_hash()
+        taps.write_text("0.0 0\n0.4 -3\n")
+        assert cfg.config_hash() != before
+        assert cfg.metadata()["tap_powers_db"] == (0.0, -3.0)
 
 
 class TestRunTrial:
@@ -147,6 +147,34 @@ class TestRunSweep:
         for a, b in zip(serial, parallel):
             assert (a.snr_db, a.total_bits, a.bit_errors, a.n_trials, a.seed) == \
                    (b.snr_db, b.total_bits, b.bit_errors, b.n_trials, b.seed)
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        import sfbcsim.harness as h
+
+        pool_sizes = []
+
+        class RecordingPool:  # runs the wave serially, starts no threads
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
+        serial = run_sweep(cfg, n_jobs=1)
+        monkeypatch.setattr(h.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(h, "ThreadPoolExecutor", RecordingPool)
+        capped = run_sweep(cfg, n_jobs=8)
+        assert pool_sizes == [2, 2]
+        for a, b in zip(serial, capped):
+            assert (a.total_bits, a.bit_errors, a.n_trials) == \
+                   (b.total_bits, b.bit_errors, b.n_trials)
 
     def test_failed_point_recorded_and_sweep_continues(self, monkeypatch):
         import sfbcsim.harness as h
