@@ -5,13 +5,14 @@ QAM mapping, SFBC encoding, grid assembly with pilots, OFDM synthesis,
 the 2x2 fading channel, per-resource-element AWGN, channel estimation (or
 the perfect-CSI bypass), SFBC combining, hard demapping and bit-error
 counting.  The fading channel is spectral (one gain per link, subcarrier
-and symbol), so the waveform legs couple to it through the exact OFDM
-round trip and the noise is injected per resource element in the
-frequency domain, which is also where the SNR is defined: noise variance
-equals the ensemble-average received data-RE power divided by the linear
-SNR.  That average is analytic (tap powers and the Rician split are
-normalized so every link has unit mean energy), so the noise level is a
-fixed function of the configuration and never tracks individual fades.
+and symbol), so the waveform legs couple to it through an OFDM round trip
+that returns the grid up to rounding, and the noise is injected per
+resource element in the frequency domain, which is also where the SNR is
+defined: noise variance equals the ensemble-average received data-RE power
+divided by the linear SNR.  That average is analytic (tap powers and the
+Rician split are normalized so every link has unit mean energy), so the
+noise level is a fixed function of the configuration and never tracks
+individual fades.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -21,15 +22,17 @@ Seed splitting is bit-exact and reproducible:
 * inside a trial, the bit/channel/noise streams use
   SeedSequence(trial_seed, spawn_key=(j,)) for j = 0, 1, 2
 
-A trial's seed depends only on its point and index.  run_sweep runs the
-points one after another; with n_jobs > 1 each point runs its trials in waves
-on at most os.cpu_count() threads and accumulates them in trial order, so the
-output bytes do not depend on the worker count.
+A trial's seed depends only on its point and index.  run_sweep opens one
+thread pool of at most os.cpu_count() workers and runs the points one after
+another.  Each point starts its trials in waves of n_jobs and reads the
+results in trial order, stopping at the first trial that meets the stopping
+rule, so the output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -164,24 +167,24 @@ class BerRecord:
 class _TrialEngine:
     """Precomputed per-config machinery shared by all trials."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, env: chan.RadioEnvironment):
         self.config = config
         self.dims = config.dims()
-        self.env = config.build_environment()
+        self.env = env
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
         self.pattern = pilots.PilotPattern(self.dims.n_subcarriers, self.dims.n_symbols)
         self.pilot_seed = derive_seed(config.seed, _PILOT_STREAM)
 
-        self.data_sc = [self.pattern.data_subcarriers(l)
-                        for l in range(self.dims.n_symbols)]
-        self.pairs_abs = []  # (k0_abs, k1_abs) per OFDM symbol
-        for dk in self.data_sc:
-            k0, k1 = sfbc.pair_indices(len(dk), config.pairing)
-            self.pairs_abs.append((dk[k0], dk[k1]))
-        counts = [len(dk) for dk in self.data_sc]
-        self.symbol_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.symbols_per_subframe = int(self.symbol_offsets[-1])
+        # every SFBC pair of the subframe in transmit order: its two absolute
+        # data subcarriers and its OFDM symbol
+        pairs = []
+        for l in range(self.dims.n_symbols):
+            dk = self.pattern.data_subcarriers(l)
+            i0, i1 = sfbc.pair_indices(dk.size, config.pairing)
+            pairs.append((dk[i0], dk[i1], np.full(i0.size, l)))
+        self.k0, self.k1, self.l = (np.concatenate(a) for a in zip(*pairs))
+        self.symbols_per_subframe = 2 * self.k0.size
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
 
         # ensemble-average received data-RE power: each fading link has unit
@@ -190,7 +193,7 @@ class _TrialEngine:
         self.reference_power = ANTENNA_AMPLITUDE ** 2 * sum_link_energy / 2.0
 
     def run(self, snr_db: float | None, trial_seed: int) -> tuple[int, int]:
-        cfg, dims = self.config, self.dims
+        cfg, dims, k0, k1, l = self.config, self.dims, self.k0, self.k1, self.l
         n_sc, n_sym, fft, cp = (dims.n_subcarriers, dims.n_symbols,
                                 dims.fft_size, dims.cp_len)
 
@@ -199,17 +202,15 @@ class _TrialEngine:
         symbols = _stage("modulate", modem.modulate, bits, self.constellation)
 
         grids = np.zeros((2, n_sc, n_sym), dtype=np.complex128)
-        for l, dk in enumerate(self.data_sc):
-            lo, hi = self.symbol_offsets[l], self.symbol_offsets[l + 1]
-            ant0, ant1 = _stage("sfbc_encode", sfbc.sfbc_encode,
-                                symbols[lo:hi], cfg.pairing)
-            grids[0, dk, l] = ant0
-            grids[1, dk, l] = ant1
+        grids[:, k0, l], grids[:, k1, l] = _stage("sfbc_encode", sfbc.sfbc_encode,
+                                                  symbols[0::2], symbols[1::2])
         _stage("insert_pilots", pilots.insert_pilots, grids, self.pattern, self.pilot_seed)
         grids *= ANTENNA_AMPLITUDE
 
         # per-antenna waveform, then back to the spectral domain where the
-        # channel model lives (the OFDM round trip is exact)
+        # channel model lives.  The round trip returns the grid up to rounding
+        # (about 1e-15); it stays because perfbench/spans.py traces these
+        # three calls at this module's names.
         cols = _stage("zero_pad", zero_pad, np.moveaxis(grids, 1, 2), fft)
         tx_time = _stage("ofdm_modulate", ofdm_modulate, cols, fft, cp)
         tx_freq = np.moveaxis(
@@ -228,16 +229,12 @@ class _TrialEngine:
             h_est = _stage("estimate_channel", pilots.estimate_channel,
                            received, self.pattern, self.pilot_seed, dims)
 
-        decoded = np.empty(self.symbols_per_subframe, dtype=np.complex128)
-        for l, (k0, k1) in enumerate(self.pairs_abs):
-            # channel taken at the pair's first subcarrier, assumed constant
-            # across the pair
-            h_pair = np.moveaxis(h_est[:, :, k0, l], 2, 0)
-            x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode,
-                            received[0, k0, l], received[1, k0, l],
-                            received[0, k1, l], received[1, k1, l], h_pair)
-            lo, hi = self.symbol_offsets[l], self.symbol_offsets[l + 1]
-            decoded[lo:hi] = sfbc.interleave_pairs(x0, x1)
+        # channel taken at the pair's first subcarrier, assumed constant
+        # across the pair
+        h_pair = np.moveaxis(h_est[:, :, k0, l], 2, 0)
+        x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode,
+                        *received[:, k0, l], *received[:, k1, l], h_pair)
+        decoded = sfbc.interleave_pairs(x0, x1)
 
         rx_bits = _stage("demodulate", modem.demodulate, decoded, self.constellation)
         errors, _ = _stage("bit_errors", modem.bit_errors, bits, rx_bits)
@@ -251,9 +248,14 @@ def _stage(name, fn, *args, **kwargs):
         raise SimulationError(f"stage '{name}' failed: {exc}") from exc
 
 
-@lru_cache(maxsize=8)
 def _engine(config: ScenarioConfig) -> _TrialEngine:
-    return _TrialEngine(config)
+    # keyed on the tap table too: an env_file may change between calls
+    return _cached_engine(config, config.build_environment())
+
+
+@lru_cache(maxsize=8)
+def _cached_engine(config: ScenarioConfig, env: chan.RadioEnvironment) -> _TrialEngine:
+    return _TrialEngine(config, env)
 
 
 def run_trial(config: ScenarioConfig, snr_db: float | None,
@@ -267,42 +269,27 @@ def run_trial(config: ScenarioConfig, snr_db: float | None,
 
 
 def _run_point(engine: _TrialEngine, config: ScenarioConfig, snr_db: float,
-               snr_index: int, n_jobs: int) -> BerRecord:
+               snr_index: int, mapper, width: int) -> BerRecord:
     max_bits = config.effective_max_bits()
     start = time.perf_counter()
     total_bits = total_errors = n_trials = 0
 
-    def done() -> bool:
-        return total_bits >= config.min_bits and (
-            total_errors >= ERROR_TARGET or total_bits >= max_bits)
-
     def trial(t: int) -> tuple[int, int]:
         return engine.run(snr_db, derive_seed(config.seed, _TRIAL_STREAM, snr_index, t))
 
+    # waves of `width` trials, the next started once this one is read; the
+    # results are read in trial order, so the stopping decision (and hence the
+    # output) does not depend on the width, and trials past the stopping point
+    # are never read
+    waves = (mapper(trial, range(t, t + width)) for t in itertools.count(0, width))
     try:
-        if n_jobs <= 1:
-            t = 0
-            while not done():
-                bits, errors = trial(t)
-                total_bits += bits
-                total_errors += errors
-                n_trials += 1
-                t += 1
-        else:
-            # speculative waves, accumulated strictly in trial order so the
-            # stopping decision (and hence the output) is worker-count
-            # independent
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                t = 0
-                while not done():
-                    wave = list(pool.map(trial, range(t, t + n_jobs)))
-                    for bits, errors in wave:
-                        total_bits += bits
-                        total_errors += errors
-                        n_trials += 1
-                        if done():
-                            break
-                    t += n_jobs
+        for bits, errors in itertools.chain.from_iterable(waves):
+            total_bits += bits
+            total_errors += errors
+            n_trials += 1
+            if total_bits >= config.min_bits and (
+                    total_errors >= ERROR_TARGET or total_bits >= max_bits):
+                break
     except SimulationError as exc:
         return BerRecord(snr_db=float(snr_db), total_bits=0, bit_errors=0,
                          ber=0.0, n_trials=n_trials, seed=config.seed,
@@ -326,8 +313,12 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     100 bit errors have accumulated, whichever comes first, but never
     stops below `min_bits`.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     engine = _engine(config)
     n_jobs = min(n_jobs, os.cpu_count() or 1)
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
-    return [_run_point(engine, config, float(config.snr_db[i]), rank, n_jobs)
-            for rank, i in enumerate(order)]
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        mapper = map if n_jobs == 1 else pool.map
+        return [_run_point(engine, config, float(config.snr_db[i]), rank, mapper, n_jobs)
+                for rank, i in enumerate(order)]

@@ -14,8 +14,12 @@ Two pairings are supported: ``adjacent`` takes k1 = k0 + 1 with k0 even,
 ``mirror`` takes k1 = k0 + N/2 (both counted among the data subcarriers of
 the symbol, N = data-subcarrier count).  Either way, N must be even: a
 symbol with an odd number of data subcarriers cannot be fully paired and
-is rejected.  The combiner assumes the channel constant across each pair
-and recovers
+is rejected.  ``pair_indices`` gives the pairs of one symbol.  The encoder
+and the combiner work elementwise on a flat batch of pairs, so a caller
+that has mapped every pair of a subframe encodes and combines the whole
+subframe in one call each.
+
+The combiner assumes the channel constant across each pair and recovers
 
     x0 = (h00* y00 + h10 y10* + h01* y01 + h11 y11*) / sum |h|^2
     x1 = (h10* y00 - h00 y10* + h11* y01 - h01 y11*) / sum |h|^2
@@ -51,27 +55,17 @@ def pair_indices(n_data_subcarriers: int, pairing: str) -> tuple[np.ndarray, np.
     return k0, k0 + half
 
 
-def sfbc_encode(symbols: np.ndarray, pairing: str,
-                n_data_subcarriers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Encode consecutive symbol pairs onto two per-antenna frequency vectors.
+def sfbc_encode(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transmit values of a batch of pairs, per antenna, at k0 and at k1.
 
-    ``symbols`` holds the source symbols in pair order (x0, x1, x0, x1, ...);
-    its length must equal the data-subcarrier count of the symbol.
+    Returns ``(at_k0, at_k1)``, each of shape (2, n_pairs) with row m the
+    values antenna m sends on that subcarrier, as in the table above.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.shape[-1] if n_data_subcarriers is None else n_data_subcarriers
-    if symbols.shape[-1] != n:
-        raise ValueError(f"expected {n} symbols, got {symbols.shape[-1]}")
-    k0, k1 = pair_indices(n, pairing)
-    x0 = symbols[0::2]
-    x1 = symbols[1::2]
-    ant0 = np.empty(n, dtype=np.complex128)
-    ant1 = np.empty(n, dtype=np.complex128)
-    ant0[k0] = x0
-    ant0[k1] = -np.conj(x1)
-    ant1[k0] = x1
-    ant1[k1] = np.conj(x0)
-    return ant0, ant1
+    x0 = np.asarray(x0, dtype=np.complex128)
+    x1 = np.asarray(x1, dtype=np.complex128)
+    if x0.shape != x1.shape:
+        raise ValueError(f"pair halves differ in shape: {x0.shape} vs {x1.shape}")
+    return np.stack([x0, x1]), np.stack([-np.conj(x1), np.conj(x0)])
 
 
 def sfbc_decode(y00: np.ndarray, y01: np.ndarray, y10: np.ndarray, y11: np.ndarray,

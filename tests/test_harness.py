@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from sfbcsim.grid import RB_BANDWIDTH_MHZ
 from sfbcsim.harness import ScenarioConfig, derive_seed, run_sweep, run_trial
+from sfbcsim.pilots import PilotPattern
 
 
 def make_config(**overrides):
@@ -61,6 +64,29 @@ class TestScenarioConfig:
         taps.write_text("0.0 0\n0.4 -3\n")
         assert cfg.config_hash() != before
         assert cfg.metadata()["tap_powers_db"] == (0.0, -3.0)
+
+
+class TestPairMaps:
+    @pytest.mark.parametrize("pairing", ["adjacent", "mirror"])
+    @pytest.mark.parametrize("n_rb", sorted(RB_BANDWIDTH_MHZ))
+    def test_pairs_cover_each_data_re_once(self, n_rb, pairing):
+        import sfbcsim.harness as h
+
+        engine = h._engine(make_config(n_rb=n_rb, pairing=pairing))
+        dims = engine.dims
+        uses = np.zeros((dims.n_subcarriers, dims.n_symbols), dtype=int)
+        np.add.at(uses, (engine.k0, engine.l), 1)
+        np.add.at(uses, (engine.k1, engine.l), 1)
+        pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
+        data = np.zeros_like(uses)
+        for sym in range(dims.n_symbols):
+            data[pattern.data_subcarriers(sym), sym] = 1
+        assert np.array_equal(uses, data)
+        for port in (0, 1):  # a pilot of one port is a null on the other
+            for sym, k in pattern.pilot_positions(port):
+                assert not uses[k, sym].any()
+        assert np.all(np.diff(engine.l) >= 0)  # transmit order: symbol by symbol
+        assert engine.symbols_per_subframe == int(data.sum())
 
 
 class TestRunTrial:
@@ -171,10 +197,29 @@ class TestRunSweep:
         monkeypatch.setattr(h.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(h, "ThreadPoolExecutor", RecordingPool)
         capped = run_sweep(cfg, n_jobs=8)
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [2]  # one pool per sweep
         for a, b in zip(serial, capped):
             assert (a.total_bits, a.bit_errors, a.n_trials) == \
                    (b.total_bits, b.bit_errors, b.n_trials)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            run_sweep(make_config(), n_jobs=0)
+
+    def test_rewritten_tap_file_is_reread(self, tmp_path):
+        import sfbcsim.harness as h
+
+        taps = tmp_path / "taps.txt"
+        taps.write_text("0.0 0\n")
+        cfg = make_config(env_file=str(taps), snr_db=(10.0,), max_bits=20_000)
+        [flat] = run_sweep(cfg)
+        taps.write_text("0.0 0\n5.0 0\n")
+        [rewritten] = run_sweep(cfg)
+        h._cached_engine.cache_clear()
+        [fresh] = run_sweep(cfg)
+        assert (rewritten.total_bits, rewritten.bit_errors) == \
+               (fresh.total_bits, fresh.bit_errors)
+        assert rewritten.bit_errors != flat.bit_errors
 
     def test_failed_point_recorded_and_sweep_continues(self, monkeypatch):
         import sfbcsim.harness as h

@@ -13,6 +13,15 @@ def random_h(rng, n=1):
     return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
 
 
+def encode_symbol(symbols, pairing):
+    """Per-antenna frequency vectors of one OFDM symbol's data subcarriers."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    k0, k1 = pair_indices(symbols.size, pairing)
+    ant = np.empty((2, symbols.size), dtype=np.complex128)
+    ant[:, k0], ant[:, k1] = sfbc_encode(symbols[0::2], symbols[1::2])
+    return ant
+
+
 def received_pair(x0, x1, h):
     """Noiseless received values built from the transmit arrangement."""
     h00, h01 = h[..., 0, 0], h[..., 0, 1]
@@ -48,12 +57,12 @@ class TestEncode:
     def test_mirror_reference_example(self):
         # pair (1, j) at k=0 with N=4: antenna 0 carries 1 at k0=0 and
         # -x1* = j at k1=2; antenna 1 carries j at 0 and x0* = 1 at 2
-        ant0, ant1 = sfbc_encode(np.array([1, 1j, 0, 0]), "mirror")
+        ant0, ant1 = encode_symbol([1, 1j, 0, 0], "mirror")
         assert ant0[0] == 1 and ant0[2] == 1j
         assert ant1[0] == 1j and ant1[2] == 1
 
     def test_adjacent_reference_example(self):
-        ant0, ant1 = sfbc_encode(np.array([1, 1j]), "adjacent")
+        ant0, ant1 = encode_symbol([1, 1j], "adjacent")
         assert ant0[0] == 1 and ant0[1] == 1j
         assert ant1[0] == 1j and ant1[1] == 1
 
@@ -70,28 +79,34 @@ class TestEncode:
     def test_pairings_carry_identical_multisets(self):
         rng = np.random.default_rng(4)
         syms = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        a0, a1 = sfbc_encode(syms, "adjacent")
-        m0, m1 = sfbc_encode(syms, "mirror")
+        a0, a1 = encode_symbol(syms, "adjacent")
+        m0, m1 = encode_symbol(syms, "mirror")
         assert np.allclose(np.sort_complex(a0), np.sort_complex(m0))
         assert np.allclose(np.sort_complex(a1), np.sort_complex(m1))
 
     def test_every_data_re_covered_once(self):
         syms = np.arange(1, 13) + 0j
         for pairing in PAIRINGS:
-            ant0, ant1 = sfbc_encode(syms, pairing)
+            ant0, ant1 = encode_symbol(syms, pairing)
             assert np.all(ant0 != 0) and np.all(ant1 != 0)
 
     def test_pair_energy(self):
         # total transmit energy per pair across both antennas, before the
         # harness applies the 1/sqrt(2) power split
         x = np.array([1.0 + 2.0j, -0.5 + 0.25j])
-        ant0, ant1 = sfbc_encode(x, "adjacent")
+        ant0, ant1 = sfbc_encode(x[:1], x[1:])
         total = np.sum(np.abs(ant0) ** 2 + np.abs(ant1) ** 2)
         assert abs(total - 2 * (abs(x[0]) ** 2 + abs(x[1]) ** 2)) < 1e-12
 
+    def test_pair_values_follow_table(self):
+        x0, x1 = np.array([1 + 2j, 3j]), np.array([-1 + 1j, 2 - 1j])
+        at_k0, at_k1 = sfbc_encode(x0, x1)
+        assert np.array_equal(at_k0, [x0, x1])
+        assert np.array_equal(at_k1, [-np.conj(x1), np.conj(x0)])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sfbc_encode(np.ones(4, dtype=complex), "mirror", n_data_subcarriers=6)
+            sfbc_encode(np.ones(2, dtype=complex), np.ones(3, dtype=complex))
 
 
 class TestDecode:
@@ -129,7 +144,7 @@ class TestDecode:
         syms = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         for pairing in PAIRINGS:
             k0, k1 = pair_indices(24, pairing)
-            ant0, ant1 = sfbc_encode(syms, pairing)
+            ant0, ant1 = encode_symbol(syms, pairing)
             h = random_h(rng, k0.size)
             # channel constant across each pair: apply the k0 gain to both
             rx0_k0 = ant0[k0] * h[:, 0, 0] + ant1[k0] * h[:, 1, 0]
