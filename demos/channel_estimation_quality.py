@@ -15,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from sfbcsim import (GridDimensions, PilotPattern, ScenarioConfig, add_awgn,
-                     emit_plot, estimate_channel, insert_pilots, run_sweep)
+from sfbcsim import (GridDimensions, PilotPattern, PilotPlan, ScenarioConfig,
+                     add_awgn, emit_plot, estimate_channel, insert_pilots,
+                     run_sweep)
 
 
 def estimator_rms_vs_snr():
     dims = GridDimensions(6)
-    pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
+    plan = PilotPlan(PilotPattern(dims.n_subcarriers, dims.n_symbols), seed=11)
     h = np.array([[1.0 + 0.2j, 0.4 - 0.6j], [-0.3 + 0.8j, 0.7 + 0.1j]])
-    tx = insert_pilots(np.zeros((2, 72, 14), dtype=complex), pattern, seed=11)
+    tx = insert_pilots(np.zeros((2, 72, 14), dtype=complex), plan)
     clean = np.einsum("mn,mkt->nkt", h, tx)
     true = np.empty((2, 2, 72, 14), dtype=complex)
     for m in (0, 1):
@@ -35,7 +36,7 @@ def estimator_rms_vs_snr():
         errs = []
         for trial in range(40):
             noisy = add_awgn(clean, float(snr_db), 1.0, seed=1000 * snr_db + trial)
-            est = estimate_channel(noisy, pattern, 11, dims)
+            est = estimate_channel(noisy, plan)
             errs.append(np.sqrt(np.mean(np.abs(est - true) ** 2)))
         print(f"  {snr_db:3d} dB: {np.mean(errs):.4f}")
 

@@ -17,7 +17,7 @@ from .harness import (BerRecord, ScenarioConfig, SimulationError, run_sweep,
                       run_trial)
 from .modem import (QamConstellation, bit_errors, demodulate, generate_bits,
                     modulate)
-from .pilots import (EstimationError, PilotPattern, estimate_channel,
+from .pilots import (EstimationError, PilotPattern, PilotPlan, estimate_channel,
                      insert_pilots, interpolate_channel, normalize_pilots,
                      pilot_values)
 from .sfbc import (SfbcDecodeError, pair_indices, sfbc_decode, sfbc_encode)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerRecord", "ChannelRealization", "ConfigError", "EstimationError",
-    "FadingConfig", "GridDimensions", "PilotPattern", "QamConstellation",
+    "FadingConfig", "GridDimensions", "PilotPattern", "PilotPlan", "QamConstellation",
     "RadioEnvironment", "ScenarioConfig", "SfbcDecodeError", "SimulationError",
     "add_awgn", "apply_channel", "bit_errors", "build_environment",
     "demodulate", "emit_csv", "emit_json", "emit_plot", "estimate_channel",

@@ -52,6 +52,8 @@ class RadioEnvironment:
     def __post_init__(self):
         if len(self.delays_s) != len(self.powers_db) or not self.delays_s:
             raise ValueError("tap delays and powers must be non-empty and equal length")
+        if not np.all(np.isfinite(self.delays_s + self.powers_db)):
+            raise ValueError("tap delays and powers must be finite")
         if any(d < 0 for d in self.delays_s):
             raise ValueError("tap delays must be non-negative")
         if list(self.delays_s) != sorted(self.delays_s):
@@ -125,6 +127,9 @@ class FadingConfig:
     rx_corr: float = 0.5
 
     def __post_init__(self):
+        for label in ("k_factor", "speed_kmh", "carrier_freq_ghz"):
+            if not math.isfinite(getattr(self, label)):
+                raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
         if self.k_factor < 0:
             raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
         for label, value in (("tx_corr", self.tx_corr), ("rx_corr", self.rx_corr)):
@@ -142,14 +147,6 @@ class ChannelRealization:
 
     h: np.ndarray
     seed: int
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.h.shape[2]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.h.shape[3]
 
 
 def _corr_sqrt(rho: float) -> np.ndarray:
@@ -179,15 +176,23 @@ def _jakes_process(rng: np.random.Generator, shape: tuple[int, ...],
     return scale * (np.cos(arg_i).sum(axis=-2) + 1j * np.cos(arg_q).sum(axis=-2))
 
 
+def phase_ramp(env: RadioEnvironment, dims: GridDimensions) -> np.ndarray:
+    """e^{-j2πfτ_i} per subcarrier and tap, shape (n_subcarriers, taps)."""
+    return np.exp(-2j * np.pi * np.outer(dims.subcarrier_freqs_hz(),
+                                         np.asarray(env.delays_s)))
+
+
 def realize_channel(env: RadioEnvironment, fading: FadingConfig,
-                    dims: GridDimensions, seed: int) -> ChannelRealization:
+                    dims: GridDimensions, seed: int,
+                    ramp: np.ndarray | None = None) -> ChannelRealization:
     """Draw one deterministic channel realization for a subframe.
 
     Per tap, the four links carry correlated Rayleigh scatter with a Jakes
     Doppler spectrum; the line-of-sight share of the K factor rides on tap
     zero only, identical on every link.  Taps are then collapsed onto the
     subcarriers through the delay-response sum H(f) = sum_i g_i e^{-j2πfτ_i}.
-    The AwgnOnly environment is the identity channel.
+    A caller drawing many realizations passes ``phase_ramp(env, dims)`` as
+    `ramp`, computed once.  The AwgnOnly environment is the identity channel.
     """
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
     if env.name == "awgn_only":
@@ -215,12 +220,9 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
         scatter[:, :, 0, :] = (math.sqrt(k / (k + 1.0)) * los
                                + math.sqrt(1.0 / (k + 1.0)) * scatter[:, :, 0, :])
 
-    amplitudes = np.sqrt(env.powers_linear)  # (taps,)
-    taps = scatter * amplitudes[None, None, :, None]
-    phase_ramp = np.exp(-2j * np.pi * np.outer(dims.subcarrier_freqs_hz(),
-                                               np.asarray(env.delays_s)))  # (k, taps)
-    h = np.einsum("mnit,ki->mnkt", taps, phase_ramp)
-    return ChannelRealization(h, seed)
+    taps = scatter * np.sqrt(env.powers_linear)[:, None]
+    ramp = phase_ramp(env, dims) if ramp is None else ramp
+    return ChannelRealization(ramp @ taps, seed)  # (2, 2, k, t)
 
 
 def apply_channel(tx_grids: np.ndarray, realization: ChannelRealization) -> np.ndarray:

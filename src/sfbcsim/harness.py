@@ -12,7 +12,8 @@ defined: noise variance equals the ensemble-average received data-RE power
 divided by the linear SNR.  That average is analytic (tap powers and the
 Rician split are normalized so every link has unit mean energy), so the
 noise level is a fixed function of the configuration and never tracks
-individual fades.
+individual fades.  An engine holds the per-config work: the SFBC pair map,
+the pilot plan and the channel's subcarrier phase ramp.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -174,7 +175,8 @@ class _TrialEngine:
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
         self.pattern = pilots.PilotPattern(self.dims.n_subcarriers, self.dims.n_symbols)
-        self.pilot_seed = derive_seed(config.seed, _PILOT_STREAM)
+        self.pilot_plan = pilots.PilotPlan(self.pattern, derive_seed(config.seed, _PILOT_STREAM))
+        self.phase_ramp = chan.phase_ramp(env, self.dims)
 
         # every SFBC pair of the subframe in transmit order: its two absolute
         # data subcarriers and its OFDM symbol
@@ -204,7 +206,7 @@ class _TrialEngine:
         grids = np.zeros((2, n_sc, n_sym), dtype=np.complex128)
         grids[:, k0, l], grids[:, k1, l] = _stage("sfbc_encode", sfbc.sfbc_encode,
                                                   symbols[0::2], symbols[1::2])
-        _stage("insert_pilots", pilots.insert_pilots, grids, self.pattern, self.pilot_seed)
+        _stage("insert_pilots", pilots.insert_pilots, grids, self.pilot_plan)
         grids *= ANTENNA_AMPLITUDE
 
         # per-antenna waveform, then back to the spectral domain where the
@@ -217,7 +219,8 @@ class _TrialEngine:
             _stage("ofdm_demodulate", ofdm_demodulate, tx_time, fft, cp, n_sc), 2, 1)
 
         realization = _stage("realize_channel", chan.realize_channel,
-                             self.env, self.fading, dims, derive_seed(trial_seed, 1))
+                             self.env, self.fading, dims, derive_seed(trial_seed, 1),
+                             self.phase_ramp)
         received = _stage("apply_channel", chan.apply_channel, tx_freq, realization)
 
         received = _stage("add_awgn", chan.add_awgn, received, snr_db,
@@ -227,7 +230,7 @@ class _TrialEngine:
             h_est = realization.h * ANTENNA_AMPLITUDE
         else:
             h_est = _stage("estimate_channel", pilots.estimate_channel,
-                           received, self.pattern, self.pilot_seed, dims)
+                           received, self.pilot_plan)
 
         # channel taken at the pair's first subcarrier, assumed constant
         # across the pair

@@ -12,13 +12,19 @@ drawn from a seeded generator that transmitter and receiver share.
 Estimation is least-squares at the pilots followed by linear interpolation,
 first across frequency then across time, with constant extrapolation
 beyond the outermost pilots.
+
+A `PilotPlan` tabulates once per config the flat (k, l) index and value of
+every pilot and the interpolation weights.  Frequency weights are sparse,
+two per subcarrier (a dense matrix would take megabytes at 100 RB).  Time
+weights stay a dense 14x4 matrix product, whose rounding the output is
+pinned to: the two-term sparse form differs in the last bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cached_property
 
-from .grid import GridDimensions
+import numpy as np
 
 PILOT_SYMBOLS = (0, 4, 7, 11)
 _PORT_OFFSETS = {0: (0, 3, 0, 3), 1: (3, 0, 3, 0)}
@@ -30,7 +36,10 @@ class EstimationError(RuntimeError):
 
 
 class PilotPattern:
-    """Pilot/null positions of both antenna ports for one subframe."""
+    """Pilot/null positions of both antenna ports for one subframe.
+
+    `k`, `l`: each pilot's subcarrier and symbol, shape (2 ports, pilots).
+    """
 
     def __init__(self, n_subcarriers: int, n_symbols: int = 14):
         if n_subcarriers < PILOT_STRIDE + max(max(v) for v in _PORT_OFFSETS.values()):
@@ -38,31 +47,23 @@ class PilotPattern:
                 f"{n_subcarriers} subcarriers leave fewer than 2 pilots per symbol")
         self.n_subcarriers = n_subcarriers
         self.n_symbols = n_symbols
-        self._subcarriers = {
-            port: [np.arange(off, n_subcarriers, PILOT_STRIDE)
-                   for off in _PORT_OFFSETS[port]]
-            for port in (0, 1)
-        }
+        per_symbol = [[np.arange(off, n_subcarriers, PILOT_STRIDE) for off in offsets]
+                      for offsets in _PORT_OFFSETS.values()]
+        self.k = np.array([np.concatenate(ks) for ks in per_symbol])
+        self.l = np.array([np.repeat(PILOT_SYMBOLS, [k.size for k in ks]) for ks in per_symbol])
 
     def pilot_positions(self, port: int) -> list[tuple[int, np.ndarray]]:
         """(symbol index, pilot subcarrier indices) per pilot-bearing symbol."""
-        return list(zip(PILOT_SYMBOLS, self._subcarriers[port]))
+        return [(sym, self.k[port, self.l[port] == sym]) for sym in PILOT_SYMBOLS]
 
     def reserved_subcarriers(self, symbol: int) -> np.ndarray:
         """Subcarriers unavailable for data at `symbol` (pilots of either port)."""
-        if symbol not in PILOT_SYMBOLS:
-            return np.array([], dtype=np.intp)
-        i = PILOT_SYMBOLS.index(symbol)
-        both = np.concatenate([self._subcarriers[0][i], self._subcarriers[1][i]])
-        return np.sort(both)
+        return np.sort(self.k[self.l == symbol])
 
     def data_subcarriers(self, symbol: int) -> np.ndarray:
         mask = np.ones(self.n_subcarriers, dtype=bool)
         mask[self.reserved_subcarriers(symbol)] = False
         return np.nonzero(mask)[0]
-
-    def n_pilots(self, port: int) -> int:
-        return sum(len(k) for _, k in self.pilot_positions(port))
 
 
 def pilot_values(pattern: PilotPattern, port: int, seed: int) -> list[np.ndarray]:
@@ -73,33 +74,49 @@ def pilot_values(pattern: PilotPattern, port: int, seed: int) -> list[np.ndarray
     the transmitted pilots.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(port,)))
-    out = []
-    for _, subcarriers in pattern.pilot_positions(port):
-        quadrant = rng.integers(0, 4, size=len(subcarriers))
-        out.append(np.exp(1j * (np.pi / 4 + quadrant * np.pi / 2)))
-    return out
+    return [np.exp(1j * (np.pi / 4 + rng.integers(0, 4, size=ks.size) * np.pi / 2))
+            for _, ks in pattern.pilot_positions(port)]
 
 
-def insert_pilots(grids: np.ndarray, pattern: PilotPattern, seed: int) -> np.ndarray:
-    """Write pilot values and the counterpart nulls into the port grids.
+class PilotPlan:
+    """One pattern's pilots under one seed: `values` holds each pilot's value."""
 
-    `grids` has shape (2, n_subcarriers, n_symbols); pilot and null resource
-    elements must still be zero (the mapper reserves them before data
-    placement), otherwise the grid assembly is inconsistent.
+    def __init__(self, pattern: PilotPattern, seed: int):
+        self.pattern, self.k, self.l = pattern, pattern.k, pattern.l
+        self.values = np.array([np.concatenate(pilot_values(pattern, port, seed))
+                                for port in (0, 1)])
+
+    @cached_property
+    def interpolation(self) -> tuple[np.ndarray, ...]:
+        """(lo, w_lo, w_hi, w_time), built on first use: perfect CSI never needs them.
+
+        Per port, pilot symbol and subcarrier, `lo` indexes the left pilot in the
+        flat (port, pilot) samples, weighted `w_lo` (`w_hi` the next pilot).
+        """
+        n_sc, n_sym = self.pattern.n_subcarriers, self.pattern.n_symbols
+        starts = np.flatnonzero(np.diff(self.l.ravel(), prepend=-1))
+        seg, frac = zip(*[_linear_weights(ks, n_sc)
+                          for ks in np.split(self.k.ravel(), starts[1:])])
+        lo = np.reshape(np.add(seg, starts[:, None]), (2, -1, n_sc))
+        frac = np.reshape(frac, lo.shape)
+        seg, f = _linear_weights(PILOT_SYMBOLS, n_sym)
+        w_time = np.zeros((n_sym, len(PILOT_SYMBOLS)))
+        w_time[np.arange(n_sym), seg] = 1.0 - f
+        w_time[np.arange(n_sym), seg + 1] = f
+        return lo, 1.0 - frac, frac, w_time
+
+
+def insert_pilots(grids: np.ndarray, plan: PilotPlan) -> np.ndarray:
+    """Write the pilot values into the port grids, shape (2, n_subcarriers, n_symbols).
+
+    Pilot and null REs (a pilot of one port is a null on the other) must
+    still be zero, else the mapper placed data on them.
     """
-    grids = np.asarray(grids)
-    for port in (0, 1):
-        other = 1 - port
-        values = pilot_values(pattern, port, seed)
-        for (symbol, subcarriers), vals in zip(pattern.pilot_positions(port), values):
-            occupied = (grids[port, subcarriers, symbol] != 0)
-            occupied |= (grids[other, subcarriers, symbol] != 0)
-            if np.any(occupied):
-                raise RuntimeError(
-                    f"pilot positions at symbol {symbol} already carry data; "
-                    "reserve pilot REs before mapping")
-            grids[port, subcarriers, symbol] = vals
-            grids[other, subcarriers, symbol] = 0.0
+    occupied = np.any(grids[:, plan.k, plan.l], axis=0)
+    if np.any(occupied):
+        raise RuntimeError(f"pilot positions at symbol {plan.l[occupied][0]} already "
+                           "carry data; reserve pilot REs before mapping")
+    grids[[[0], [1]], plan.k, plan.l] = plan.values
     return grids
 
 
@@ -111,48 +128,36 @@ def normalize_pilots(received_pilots: np.ndarray, known_pilots: np.ndarray) -> n
     return np.asarray(received_pilots) / known_pilots
 
 
-def _linear_weights(knots: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Weight matrix of linear interpolation with constant edge extrapolation."""
+def _linear_weights(knots, n_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left knot and right-knot weight of each target 0..n_targets-1.
+
+    The weight is clipped to [0, 1] beyond the outermost knots, which
+    extrapolates the edge value as a constant.
+    """
     knots = np.asarray(knots, dtype=np.float64)
-    if knots.size < 2:
-        raise EstimationError(
-            f"need at least 2 pilot positions per dimension, got {knots.size}")
-    targets = np.asarray(targets, dtype=np.float64)
-    w = np.zeros((targets.size, knots.size))
+    targets = np.arange(n_targets)
     seg = np.clip(np.searchsorted(knots, targets, side="right") - 1, 0, knots.size - 2)
     frac = (targets - knots[seg]) / (knots[seg + 1] - knots[seg])
-    frac = np.clip(frac, 0.0, 1.0)
-    rows = np.arange(targets.size)
-    w[rows, seg] = 1.0 - frac
-    w[rows, seg + 1] = frac
-    return w
+    return seg, np.clip(frac, 0.0, 1.0)
 
 
-def interpolate_channel(pilot_samples: list[np.ndarray], pattern: PilotPattern,
-                        port: int, dims: GridDimensions) -> np.ndarray:
-    """Spread per-pilot channel samples over every resource element.
+def interpolate_channel(samples: np.ndarray, plan: PilotPlan) -> np.ndarray:
+    """Spread channel samples at the pilots over every resource element.
 
-    `pilot_samples` holds one array per pilot-bearing symbol, in the order
-    of ``pattern.pilot_positions(port)``.  Interpolation runs across
-    frequency (vertical) first, then across time (horizontal).
+    `samples` has the shape (..., 2, pilots per port) of `plan.k`; the result
+    (..., 2, n_subcarriers, n_symbols).  Interpolation runs across frequency
+    first, then across time.
     """
-    positions = pattern.pilot_positions(port)
-    if len(pilot_samples) != len(positions):
-        raise ValueError(
-            f"expected samples for {len(positions)} pilot symbols, got {len(pilot_samples)}")
-    all_k = np.arange(dims.n_subcarriers)
-    per_symbol = np.empty((len(positions), dims.n_subcarriers), dtype=np.complex128)
-    for i, ((_, subcarriers), samples) in enumerate(zip(positions, pilot_samples)):
-        if len(samples) != len(subcarriers):
-            raise ValueError("pilot sample count does not match the pattern")
-        per_symbol[i] = _linear_weights(subcarriers, all_k) @ samples
-    w_time = _linear_weights(np.array([s for s, _ in positions]),
-                             np.arange(dims.n_symbols))
-    return (w_time @ per_symbol).T  # (n_subcarriers, n_symbols)
+    lo, w_lo, w_hi, w_time = plan.interpolation
+    samples = np.asarray(samples)
+    if samples.shape[-2:] != plan.k.shape:
+        raise ValueError(f"expected samples of shape (..., {plan.k.shape}), got {samples.shape}")
+    flat = samples.reshape(samples.shape[:-2] + (-1,))
+    per_symbol = w_lo * flat[..., lo] + w_hi * flat[..., lo + 1]
+    return np.swapaxes(w_time @ per_symbol, -1, -2)
 
 
-def estimate_channel(received_grids: np.ndarray, pattern: PilotPattern,
-                     seed: int, dims: GridDimensions) -> np.ndarray:
+def estimate_channel(received_grids: np.ndarray, plan: PilotPlan) -> np.ndarray:
     """Estimate all four links from the received port grids.
 
     Returns an array of shape (2, 2, n_subcarriers, n_symbols) with entry
@@ -160,15 +165,5 @@ def estimate_channel(received_grids: np.ndarray, pattern: PilotPattern,
     The pilot/null duality is what separates the links: each port's pilots
     see silence from the other port.
     """
-    received_grids = np.asarray(received_grids)
-    estimate = np.empty((2, 2, dims.n_subcarriers, dims.n_symbols), dtype=np.complex128)
-    for tx_port in (0, 1):
-        known = pilot_values(pattern, tx_port, seed)
-        positions = pattern.pilot_positions(tx_port)
-        for rx in (0, 1):
-            samples = [
-                normalize_pilots(received_grids[rx, subcarriers, symbol], vals)
-                for (symbol, subcarriers), vals in zip(positions, known)
-            ]
-            estimate[tx_port, rx] = interpolate_channel(samples, pattern, tx_port, dims)
-    return estimate
+    samples = normalize_pilots(np.asarray(received_grids)[:, plan.k, plan.l], plan.values)
+    return np.swapaxes(interpolate_channel(samples, plan), 0, 1)

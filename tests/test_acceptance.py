@@ -272,8 +272,9 @@ def test_criterion_9_structural_invariants():
 
     # pilot/null duality
     pattern = s.PilotPattern(72)
+    plan = s.PilotPlan(pattern, seed=1)
     grids = np.zeros((2, 72, 14), dtype=complex)
-    s.insert_pilots(grids, pattern, seed=1)
+    s.insert_pilots(grids, plan)
     duality = True
     for port in (0, 1):
         for symbol, ks in pattern.pilot_positions(port):
@@ -282,16 +283,12 @@ def test_criterion_9_structural_invariants():
     checks["pilot duality"] = duality
 
     # interpolator passes through its knots
-    dims = s.GridDimensions(6)
     rng = np.random.default_rng(3)
-    samples, knots = [], []
-    for symbol, ks in pattern.pilot_positions(0):
-        v = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-        samples.append(v)
-        knots.append((symbol, ks, v))
-    est = s.interpolate_channel(samples, pattern, 0, dims)
+    samples = rng.standard_normal(plan.k.shape) + 1j * rng.standard_normal(plan.k.shape)
+    est = s.interpolate_channel(samples, plan)
     checks["interpolation knots"] = all(
-        np.max(np.abs(est[ks, symbol] - v)) < 1e-10 for symbol, ks, v in knots)
+        np.max(np.abs(est[port, plan.k[port], plan.l[port]] - samples[port])) < 1e-10
+        for port in (0, 1))
 
     # OFDM round trip
     v = rng.standard_normal(72) + 1j * rng.standard_normal(72)

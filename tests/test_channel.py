@@ -1,5 +1,7 @@
 """Tests for the radio environments, fading realization, and AWGN stage."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,13 @@ class TestEnvironments:
         with pytest.raises(ValueError):
             load_environment_file(f)
 
+    @pytest.mark.parametrize("text", ["0.0 0\n1.0 nan\n", "0.0 0\ninf -3\n", "0.0 -inf\n"])
+    def test_load_environment_file_rejects_non_finite(self, tmp_path, text):
+        f = tmp_path / "taps.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            load_environment_file(f)
+
 
 class TestFadingConfig:
     def test_doppler_from_speed_and_carrier(self):
@@ -66,6 +75,12 @@ class TestFadingConfig:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             FadingConfig(k_factor=-1.0)
+
+    @pytest.mark.parametrize("field", ["k_factor", "speed_kmh", "carrier_freq_ghz"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FadingConfig(**{field: value})
 
     def test_invalid_corr_rejected(self):
         with pytest.raises(ValueError):

@@ -213,6 +213,23 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["k_factor = inf", "speed_kmh = nan",
+                                      "carrier_freq_ghz = inf"])
+    def test_validate_non_finite_fading_exits_one(self, tmp_path, capsys, line):
+        path = tmp_path / "fading.cfg"
+        path.write_text(f"{line}\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tap", ["1.0 nan", "inf -3"])
+    def test_validate_non_finite_tap_exits_one(self, tmp_path, capsys, tap):
+        taps = tmp_path / "taps.txt"
+        taps.write_text(f"0.0 0\n{tap}\n")
+        path = tmp_path / "taps.cfg"
+        path.write_text(f"environment = user_defined\nenv_file = {taps}\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_one_with_usage(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

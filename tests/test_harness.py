@@ -89,6 +89,36 @@ class TestPairMaps:
         assert engine.symbols_per_subframe == int(data.sum())
 
 
+class TestStageCounts:
+    """Per-trial calls of each pilot function on an engine that is already built.
+
+    Counting wrappers sit at the `sfbcsim.pilots` attributes, where the
+    engine looks the functions up and where an outside tracer wraps them.
+    """
+
+    @pytest.mark.parametrize("csi,estimates", [("estimated", 1), ("perfect", 0)])
+    def test_pilot_calls_per_trial(self, monkeypatch, csi, estimates):
+        import sfbcsim.harness as h
+        import sfbcsim.pilots as pilots
+
+        cfg = make_config(csi=csi)
+        h._engine(cfg)
+        calls = dict.fromkeys(("pilot_values", "insert_pilots", "estimate_channel",
+                               "normalize_pilots", "interpolate_channel"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(pilots, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pilots, name, counted)
+        n_trials = 3
+        for t in range(n_trials):
+            run_trial(cfg, 10.0, t)
+        assert calls == {"pilot_values": 0, "insert_pilots": n_trials,
+                         "estimate_channel": estimates * n_trials,
+                         "normalize_pilots": estimates * n_trials,
+                         "interpolate_channel": estimates * n_trials}
+
+
 class TestRunTrial:
     def test_noise_bypass_perfect_csi_awgn_only_is_exact(self):
         cfg = make_config(environment="awgn_only", csi="perfect")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from sfbcsim.grid import GridDimensions
+import pilot_oracle
+from sfbcsim.grid import RB_BANDWIDTH_MHZ, GridDimensions
 from sfbcsim.pilots import (EstimationError, PILOT_SYMBOLS, PilotPattern,
-                            estimate_channel, insert_pilots,
+                            PilotPlan, estimate_channel, insert_pilots,
                             interpolate_channel, normalize_pilots,
                             pilot_values)
 
@@ -18,6 +19,11 @@ def dims():
 @pytest.fixture
 def pattern(dims):
     return PilotPattern(dims.n_subcarriers, dims.n_symbols)
+
+
+@pytest.fixture
+def plan(pattern):
+    return PilotPlan(pattern, seed=0)
 
 
 class TestPattern:
@@ -76,7 +82,7 @@ class TestPilotValues:
 class TestInsertPilots:
     def test_nulls_on_other_port(self, pattern):
         grids = np.zeros((2, 72, 14), dtype=complex)
-        insert_pilots(grids, pattern, seed=3)
+        insert_pilots(grids, PilotPlan(pattern, seed=3))
         for port in (0, 1):
             for symbol, subcarriers in pattern.pilot_positions(port):
                 assert np.allclose(np.abs(grids[port, subcarriers, symbol]), 1.0)
@@ -86,13 +92,13 @@ class TestInsertPilots:
         grids = np.zeros((2, 72, 14), dtype=complex)
         grids[0, 0, 0] = 1.0  # symbol 0, subcarrier 0 is a port-0 pilot RE
         with pytest.raises(RuntimeError):
-            insert_pilots(grids, pattern, seed=3)
+            insert_pilots(grids, PilotPlan(pattern, seed=3))
 
     def test_data_positions_untouched(self, pattern):
         grids = np.zeros((2, 72, 14), dtype=complex)
         data = pattern.data_subcarriers(0)
         grids[0, data, 0] = 2.0
-        insert_pilots(grids, pattern, seed=3)
+        insert_pilots(grids, PilotPlan(pattern, seed=3))
         assert np.all(grids[0, data, 0] == 2.0)
 
 
@@ -122,74 +128,68 @@ class TestNormalizePilots:
 
 
 class TestInterpolateChannel:
-    def _samples_for(self, pattern, port, fn):
-        return [fn(np.asarray(ks, dtype=float), float(sym))
-                for sym, ks in pattern.pilot_positions(port)]
+    def _samples(self, plan, fn):
+        return fn(plan.k.astype(float), plan.l.astype(float))
 
-    def test_flat_channel_exact_everywhere(self, pattern, dims):
+    def test_flat_channel_exact_everywhere(self, plan):
         c = 1.3 - 0.4j
-        samples = self._samples_for(pattern, 0, lambda k, t: np.full(k.size, c))
-        est = interpolate_channel(samples, pattern, 0, dims)
-        assert est.shape == (72, 14)
+        samples = self._samples(plan, lambda k, t: np.full(k.shape, c))
+        est = interpolate_channel(samples, plan)
+        assert est.shape == (2, 72, 14)
         assert np.max(np.abs(est - c)) < 1e-12
 
-    def test_linear_in_frequency_exact_between_outer_pilots(self, pattern, dims):
+    def test_linear_in_frequency_exact_between_outer_pilots(self, pattern, plan):
         slope = 0.02 - 0.01j
-        samples = self._samples_for(pattern, 0, lambda k, t: slope * k)
-        est = interpolate_channel(samples, pattern, 0, dims)
-        for symbol, subcarriers in pattern.pilot_positions(0):
-            lo, hi = subcarriers[0], subcarriers[-1]
-            k = np.arange(lo, hi + 1)
-            assert np.max(np.abs(est[k, symbol] - slope * k)) < 1e-12
+        samples = self._samples(plan, lambda k, t: slope * k)
+        est = interpolate_channel(samples, plan)
+        for port in (0, 1):
+            for symbol, subcarriers in pattern.pilot_positions(port):
+                lo, hi = subcarriers[0], subcarriers[-1]
+                k = np.arange(lo, hi + 1)
+                assert np.max(np.abs(est[port, k, symbol] - slope * k)) < 1e-12
 
-    def test_passes_through_knots(self, pattern, dims):
+    def test_passes_through_knots(self, plan):
         rng = np.random.default_rng(12)
-        values = {}
-        def fn(k, t):
-            v = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
-            values[t] = (k.astype(int), v)
-            return v
-        samples = self._samples_for(pattern, 1, fn)
-        est = interpolate_channel(samples, pattern, 1, dims)
-        for sym, _ in pattern.pilot_positions(1):
-            k, v = values[float(sym)]
-            assert np.max(np.abs(est[k, sym] - v)) < 1e-10
+        samples = rng.standard_normal(plan.k.shape) + 1j * rng.standard_normal(plan.k.shape)
+        est = interpolate_channel(samples, plan)
+        for port in (0, 1):
+            at_knots = est[port, plan.k[port], plan.l[port]]
+            assert np.max(np.abs(at_knots - samples[port])) < 1e-10
 
-    def test_affine_in_time_exact_between_pilot_symbols(self, pattern, dims):
+    def test_affine_in_time_exact_between_pilot_symbols(self, plan):
         base, rate = 0.5 + 0.1j, 0.03 + 0.02j
-        samples = self._samples_for(pattern, 0,
-                                    lambda k, t: np.full(k.size, base + rate * t))
-        est = interpolate_channel(samples, pattern, 0, dims)
+        samples = self._samples(plan, lambda k, t: base + rate * t)
+        est = interpolate_channel(samples, plan)
         for symbol in range(PILOT_SYMBOLS[0], PILOT_SYMBOLS[-1] + 1):
             expected = base + rate * symbol
-            assert np.max(np.abs(est[:, symbol] - expected)) < 1e-12
+            assert np.max(np.abs(est[:, :, symbol] - expected)) < 1e-12
         # constant extrapolation beyond the last pilot symbol
-        assert np.allclose(est[:, 13], base + rate * PILOT_SYMBOLS[-1])
+        assert np.allclose(est[:, :, 13], base + rate * PILOT_SYMBOLS[-1])
 
-    def test_sample_count_mismatch_rejected(self, pattern, dims):
-        samples = [np.ones(12)] * 3
+    def test_sample_count_mismatch_rejected(self, plan):
+        samples = np.ones((2, plan.k.shape[1] - 12))
         with pytest.raises(ValueError):
-            interpolate_channel(samples, pattern, 0, dims)
+            interpolate_channel(samples, plan)
 
 
 class TestEstimateChannel:
-    def _pilot_only_grids(self, pattern, seed):
+    def _pilot_only_grids(self, plan):
         grids = np.zeros((2, 72, 14), dtype=complex)
-        return insert_pilots(grids, pattern, seed)
+        return insert_pilots(grids, plan)
 
-    def test_static_flat_2x2_recovered(self, pattern, dims):
-        seed = 21
-        tx = self._pilot_only_grids(pattern, seed)
+    def test_static_flat_2x2_recovered(self, pattern):
+        plan = PilotPlan(pattern, seed=21)
+        tx = self._pilot_only_grids(plan)
         h = np.array([[1.2 - 0.3j, 0.4 + 0.9j], [-0.7 + 0.2j, 0.5 - 1.1j]])
         rx = np.einsum("mn,mkt->nkt", h, tx)
-        est = estimate_channel(rx, pattern, seed, dims)
+        est = estimate_channel(rx, plan)
         for m in (0, 1):
             for n in (0, 1):
                 assert np.max(np.abs(est[m, n] - h[m, n])) < 1e-10
 
-    def test_estimate_error_decreases_with_pilot_snr(self, pattern, dims):
-        seed = 4
-        tx = self._pilot_only_grids(pattern, seed)
+    def test_estimate_error_decreases_with_pilot_snr(self, pattern):
+        plan = PilotPlan(pattern, seed=4)
+        tx = self._pilot_only_grids(plan)
         h = np.array([[1.0, 0.3 + 0.4j], [0.2 - 0.5j, 0.9j]])
         clean = np.einsum("mn,mkt->nkt", h, tx)
         true = np.empty((2, 2, 72, 14), dtype=complex)
@@ -204,7 +204,36 @@ class TestEstimateChannel:
             for _ in range(30):
                 noise = (rng.standard_normal(clean.shape)
                          + 1j * rng.standard_normal(clean.shape)) * np.sqrt(sigma2 / 2)
-                est = estimate_channel(clean + noise, pattern, seed, dims)
+                est = estimate_channel(clean + noise, plan)
                 errs.append(np.sqrt(np.mean(np.abs(est - true) ** 2)))
             rms.append(np.mean(errs))
         assert rms[0] > rms[1] > rms[2] > rms[3]
+
+
+class TestAgainstDenseOracle:
+    """The table-driven path reproduces the dense loop form bit for bit."""
+
+    @pytest.mark.parametrize("n_rb", sorted(RB_BANDWIDTH_MHZ))
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_insert_and_estimate_equal_oracle(self, n_rb, seed):
+        dims = GridDimensions(n_rb)
+        pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
+        plan = PilotPlan(pattern, seed)
+        shape = (2, dims.n_subcarriers, dims.n_symbols)
+        rng = np.random.default_rng([n_rb, seed % 2**32])
+
+        # pilots into grids whose data REs already carry symbols
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        free = np.ones(shape, dtype=bool)
+        for port in (0, 1):
+            for symbol, subcarriers in pattern.pilot_positions(port):
+                free[:, subcarriers, symbol] = False
+        data[~free] = 0.0
+        expected = pilot_oracle.insert_pilots(data.copy(), pattern, seed)
+        assert np.array_equal(insert_pilots(data.copy(), plan), expected)
+
+        for _ in range(3):
+            received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(
+                estimate_channel(received, plan),
+                pilot_oracle.estimate_channel(received, pattern, seed, dims))
