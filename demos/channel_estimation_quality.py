@@ -49,7 +49,7 @@ def ber_estimated_vs_perfect(out: Path):
             modulation=4, environment="user_defined", csi=csi,
             min_bits=100_000, max_bits=100_000, name=f"{csi} CSI")
         print(f"sweeping with {csi} CSI ...")
-        curves.append((f"{csi} CSI", run_sweep(config, n_jobs=4)))
+        curves.append((f"{csi} CSI", run_sweep(config)))
     emit_plot(curves, out / "csi_comparison.svg",
               title="4-QAM, user-defined channel: estimated vs perfect CSI")
     print(f"wrote {out / 'csi_comparison.svg'}")

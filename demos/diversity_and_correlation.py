@@ -29,7 +29,7 @@ def main(out_dir="demos/output"):
             min_bits=100_000, max_bits=400_000,
             name=f"correlation {corr:g}")
         print(f"sweeping flat Rayleigh, correlation {corr:g} ...")
-        records = run_sweep(config, n_jobs=4)
+        records = run_sweep(config)
         emit_csv(records, out / f"rayleigh_corr{int(corr * 10):02d}.csv")
         curves.append((f"corr {corr:g}", records))
 

@@ -28,7 +28,7 @@ def main(out_dir="demos/output"):
         config = dataclasses.replace(base, modulation=order,
                                      name=f"{order}-QAM user-defined")
         print(f"sweeping {order}-QAM over {len(config.snr_db)} SNR points ...")
-        records = run_sweep(config, n_jobs=4)
+        records = run_sweep(config)
         emit_csv(records, out / f"qam{order}_user_defined.csv")
         curves.append((f"{order}-QAM", records))
 

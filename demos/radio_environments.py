@@ -34,7 +34,7 @@ def main(out_dir="demos/output", modulation="4"):
             modulation=order, name=env)
         spread = build_environment(env).rms_delay_spread_s() * 1e6
         print(f"sweeping {env} (rms delay spread {spread:.2f} us) ...")
-        records = run_sweep(config, n_jobs=4)
+        records = run_sweep(config)
         emit_csv(records, out / f"env_{env}_{order}qam.csv")
         curves.append((env, records))
         floor = min(r.ber for r in records)

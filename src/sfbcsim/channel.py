@@ -58,6 +58,11 @@ class RadioEnvironment:
             raise ValueError("tap delays must be non-negative")
         if list(self.delays_s) != sorted(self.delays_s):
             raise ValueError("tap delays must be sorted")
+        # finite dB powers can still overflow or underflow in linear scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.powers_linear)):
+                raise ValueError("tap powers must be finite once normalized to linear "
+                                 f"scale, got {self.powers_db} dB")
 
     @property
     def powers_linear(self) -> np.ndarray:

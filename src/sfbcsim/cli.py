@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import html
 import json
 import math
 import os
@@ -168,7 +169,9 @@ def emit_plot(record_sets: list[tuple[str, list[BerRecord]]], path,
     """
     if not record_sets:
         raise ValueError("no record sets to plot")
-    record_sets = [(label, [r for r in recs if r.error is None])
+    # labels and title are XML text: escape &, < and >
+    title = html.escape(title, quote=False)
+    record_sets = [(html.escape(label, quote=False), [r for r in recs if r.error is None])
                    for label, recs in record_sets]
     if not any(recs for _, recs in record_sets):
         raise ValueError("no measured points to plot")
@@ -281,7 +284,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel trial workers (at most the CPU count are used)")
+                       help="accepted for compatibility; trials run serially")
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("config")
@@ -291,16 +294,19 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConfig:
-    seed = config.seed
+    seed, source = config.seed, "config"
     env_seed = os.environ.get("SFBCSIM_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed, source = int(env_seed), "SFBCSIM_SEED"
         except ValueError:
             raise ConfigError(f"SFBCSIM_SEED must be an integer, got {env_seed!r}")
     if flag_seed is not None:
-        seed = flag_seed
-    return dataclasses.replace(config, seed=seed)
+        seed, source = flag_seed, "--seed"
+    try:
+        return dataclasses.replace(config, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:

@@ -23,21 +23,17 @@ Seed splitting is bit-exact and reproducible:
 * inside a trial, the bit/channel/noise streams use
   SeedSequence(trial_seed, spawn_key=(j,)) for j = 0, 1, 2
 
-A trial's seed depends only on its point and index.  run_sweep opens one
-thread pool of at most os.cpu_count() workers and runs the points one after
-another.  Each point starts its trials in waves of n_jobs and reads the
-results in trial order, stopping at the first trial that meets the stopping
-rule, so the output bytes do not depend on the worker count.
+A trial's seed depends only on its point and index.  run_sweep runs the
+points one after another on the calling thread.  Each point runs its trials
+t = 0, 1, ... in order and stops at the first trial that meets the stopping
+rule, so no trial past the stop is ever run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -107,6 +103,8 @@ class ScenarioConfig:
             raise ValueError("n_frames must be at least 1")
         if self.max_bits is not None and self.max_bits < self.min_bits:
             raise ValueError("max_bits must be >= min_bits")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # grid, environment and fading validation happens in their constructors
         self.dims()
         self.build_environment()
@@ -271,42 +269,28 @@ def run_trial(config: ScenarioConfig, snr_db: float | None,
     return _engine(config).run(snr_db, trial_seed)
 
 
-def _run_point(engine: _TrialEngine, config: ScenarioConfig, snr_db: float,
-               snr_index: int, mapper, width: int) -> BerRecord:
-    max_bits = config.effective_max_bits()
+def _run_point(engine: _TrialEngine, snr_db: float, snr_index: int,
+               max_bits: int) -> BerRecord:
+    config = engine.config
     start = time.perf_counter()
     total_bits = total_errors = n_trials = 0
-
-    def trial(t: int) -> tuple[int, int]:
-        return engine.run(snr_db, derive_seed(config.seed, _TRIAL_STREAM, snr_index, t))
-
-    # waves of `width` trials, the next started once this one is read; the
-    # results are read in trial order, so the stopping decision (and hence the
-    # output) does not depend on the width, and trials past the stopping point
-    # are never read
-    waves = (mapper(trial, range(t, t + width)) for t in itertools.count(0, width))
+    error = None
     try:
-        for bits, errors in itertools.chain.from_iterable(waves):
+        while total_bits < config.min_bits or (
+                total_errors < ERROR_TARGET and total_bits < max_bits):
+            bits, errors = engine.run(
+                snr_db, derive_seed(config.seed, _TRIAL_STREAM, snr_index, n_trials))
             total_bits += bits
             total_errors += errors
             n_trials += 1
-            if total_bits >= config.min_bits and (
-                    total_errors >= ERROR_TARGET or total_bits >= max_bits):
-                break
     except SimulationError as exc:
-        return BerRecord(snr_db=float(snr_db), total_bits=0, bit_errors=0,
-                         ber=0.0, n_trials=n_trials, seed=config.seed,
-                         wall_time=time.perf_counter() - start, error=str(exc))
-
-    return BerRecord(
-        snr_db=float(snr_db),
-        total_bits=total_bits,
-        bit_errors=total_errors,
-        ber=total_errors / total_bits,
-        n_trials=n_trials,
-        seed=config.seed,
-        wall_time=time.perf_counter() - start,
-    )
+        # a failed point keeps its trial count but no measurement
+        total_bits = total_errors = 0
+        error = str(exc)
+    return BerRecord(snr_db=float(snr_db), total_bits=total_bits, bit_errors=total_errors,
+                     ber=total_errors / total_bits if error is None else 0.0,
+                     n_trials=n_trials, seed=config.seed,
+                     wall_time=time.perf_counter() - start, error=error)
 
 
 def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
@@ -314,14 +298,13 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
 
     Each point runs whole-subframe trials until `max_bits` is reached or
     100 bit errors have accumulated, whichever comes first, but never
-    stops below `min_bits`.
+    stops below `min_bits`.  `n_jobs` must be at least 1; it is accepted
+    for compatibility and does not change how the trials run.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     engine = _engine(config)
-    n_jobs = min(n_jobs, os.cpu_count() or 1)
+    max_bits = config.effective_max_bits()
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        mapper = map if n_jobs == 1 else pool.map
-        return [_run_point(engine, config, float(config.snr_db[i]), rank, mapper, n_jobs)
-                for rank, i in enumerate(order)]
+    return [_run_point(engine, float(config.snr_db[i]), rank, max_bits)
+            for rank, i in enumerate(order)]

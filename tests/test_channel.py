@@ -59,7 +59,9 @@ class TestEnvironments:
         with pytest.raises(ValueError):
             load_environment_file(f)
 
-    @pytest.mark.parametrize("text", ["0.0 0\n1.0 nan\n", "0.0 0\ninf -3\n", "0.0 -inf\n"])
+    # the last three are finite in dB but underflow or overflow in linear scale
+    @pytest.mark.parametrize("text", ["0.0 0\n1.0 nan\n", "0.0 0\ninf -3\n", "0.0 -inf\n",
+                                      "0.0 -4000\n", "0.0 4000\n", "0.0 4000\n1.0 0\n"])
     def test_load_environment_file_rejects_non_finite(self, tmp_path, text):
         f = tmp_path / "taps.txt"
         f.write_text(text)

@@ -1,6 +1,7 @@
 """Tests for config loading, result emission, plotting, and the CLI."""
 
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -221,10 +222,12 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tap", ["1.0 nan", "inf -3"])
-    def test_validate_non_finite_tap_exits_one(self, tmp_path, capsys, tap):
+    @pytest.mark.parametrize("text", [pytest.param("0.0 0\n1.0 nan\n", id="1.0 nan"),
+                                      pytest.param("0.0 0\ninf -3\n", id="inf -3"),
+                                      "0.0 -4000\n", "0.0 4000\n", "0.0 4000\n1.0 0\n"])
+    def test_validate_non_finite_tap_exits_one(self, tmp_path, capsys, text):
         taps = tmp_path / "taps.txt"
-        taps.write_text(f"0.0 0\n{tap}\n")
+        taps.write_text(text)
         path = tmp_path / "taps.cfg"
         path.write_text(f"environment = user_defined\nenv_file = {taps}\nsnr_db = 0\n")
         assert main(["validate", str(path)]) == 1
@@ -292,6 +295,35 @@ class TestMain:
         out_dir = tmp_path / "results"
         main(["sweep", str(small_config), "--out", str(out_dir), "--seed", "88"])
         assert ",88" in (out_dir / "smoke.csv").read_text()
+
+    def test_negative_seed_in_file_exits_one(self, small_config, tmp_path, capsys):
+        small_config.write_text(SMALL_CONFIG.replace("seed = 3", "seed = -1"))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir)]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_exits_one(self, small_config, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir), "--seed", "-3"]) == 1
+        assert "--seed: seed must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_env_var_exits_one(self, small_config, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("SFBCSIM_SEED", "-5")
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir)]) == 1
+        assert "SFBCSIM_SEED: seed must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_plot_of_markup_name_is_well_formed(self, small_config, tmp_path):
+        small_config.write_text(SMALL_CONFIG.replace("name = smoke", "name = R&D <test>"))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir), "--plot"]) == 0
+        root = ET.parse(out_dir / "smoke.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "R&D <test>" in texts
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "none.cfg")]) == 1

@@ -204,33 +204,23 @@ class TestRunSweep:
             assert (a.snr_db, a.total_bits, a.bit_errors, a.n_trials, a.seed) == \
                    (b.snr_db, b.total_bits, b.bit_errors, b.n_trials, b.seed)
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_no_trial_runs_past_the_stop(self, monkeypatch, n_jobs):
         import sfbcsim.harness as h
 
-        pool_sizes = []
+        calls = []
+        original = h._TrialEngine.run
 
-        class RecordingPool:  # runs the wave serially, starts no threads
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
+        def counted(self, snr_db, trial_seed):
+            calls.append(trial_seed)
+            return original(self, snr_db, trial_seed)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
-        serial = run_sweep(cfg, n_jobs=1)
-        monkeypatch.setattr(h.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(h, "ThreadPoolExecutor", RecordingPool)
-        capped = run_sweep(cfg, n_jobs=8)
-        assert pool_sizes == [2]  # one pool per sweep
-        for a, b in zip(serial, capped):
-            assert (a.total_bits, a.bit_errors, a.n_trials) == \
-                   (b.total_bits, b.bit_errors, b.n_trials)
+        monkeypatch.setattr(h._TrialEngine, "run", counted)
+        # 12,000 bits take 7 trials of 1,824 bits: an odd count per point
+        cfg = make_config(snr_db=(0.0, 6.0), min_bits=12_000, max_bits=12_000)
+        records = run_sweep(cfg, n_jobs=n_jobs)
+        assert [r.n_trials for r in records] == [7, 7]
+        assert len(calls) == sum(r.n_trials for r in records)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
