@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trial_oracle
+from sfbcsim.channel import ENVIRONMENT_NAMES
 from sfbcsim.grid import RB_BANDWIDTH_MHZ
 from sfbcsim.harness import ScenarioConfig, derive_seed, run_sweep, run_trial
 from sfbcsim.pilots import PilotPattern
@@ -117,6 +121,25 @@ class TestStageCounts:
                          "estimate_channel": estimates * n_trials,
                          "normalize_pilots": estimates * n_trials,
                          "interpolate_channel": estimates * n_trials}
+
+
+configs = st.builds(
+    make_config, n_rb=st.sampled_from(sorted(RB_BANDWIDTH_MHZ)),
+    environment=st.sampled_from(ENVIRONMENT_NAMES), pairing=st.sampled_from(["adjacent", "mirror"]),
+    csi=st.sampled_from(["estimated", "perfect"]), modulation=st.sampled_from([4, 16, 64]),
+    seed=st.integers(0, 2**32))
+snrs = st.one_of(st.floats(-10.0, 40.0), st.sampled_from([None, math.inf]))
+trial_seeds = st.integers(0, 2**64 - 1)
+
+
+class TestAgainstTrialOracle:
+    """The harness must return exactly the (bits, errors) of the module-only chain."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=configs, snr_db=snrs, trial_seed=trial_seeds)
+    def test_run_trial_matches_oracle(self, cfg, snr_db, trial_seed):
+        assert run_trial(cfg, snr_db, trial_seed) == \
+            trial_oracle.run_trial(cfg, snr_db, trial_seed)
 
 
 class TestRunTrial:
