@@ -148,7 +148,8 @@ class FadingConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-link complex gains, shape (2 tx, 2 rx, n_subcarriers, n_symbols)."""
+    """Per-link complex gains, shape (2 tx, 2 rx, n_subcarriers, n_symbols), and
+    the seed; a stack of realizations has a leading axis and a seed per item."""
 
     h: np.ndarray
     seed: int
@@ -161,19 +162,18 @@ def _corr_sqrt(rho: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def _jakes_process(rng: np.random.Generator, shape: tuple[int, ...],
+def _jakes_process(rngs: list[np.random.Generator], shape: tuple[int, ...],
                    f_d: float, times: np.ndarray) -> np.ndarray:
     """Unit-power complex scatter with a Jakes spectrum at max Doppler f_d.
 
     Sum-of-sinusoids construction; `shape` indexes independent processes and
-    the returned array has shape `shape + (len(times),)`.
+    the returned array has shape `(len(rngs),) + shape + (len(times),)`, one
+    stack item drawn from each generator.
     """
     n = _N_SINUSOIDS
-    theta = rng.uniform(-np.pi, np.pi, size=shape + (1,))
-    k = np.arange(1, n + 1).reshape((1,) * len(shape) + (n,))
-    alpha = (2 * np.pi * k - np.pi + theta) / (4 * n)
-    phi = rng.uniform(-np.pi, np.pi, size=shape + (n, 1))
-    psi = rng.uniform(-np.pi, np.pi, size=shape + (n, 1))
+    theta, phi, psi = (np.stack([rng.uniform(-np.pi, np.pi, size=shape + tail) for rng in rngs])
+                       for tail in ((1,), (n, 1), (n, 1)))
+    alpha = (2 * np.pi * np.arange(1, n + 1) - np.pi + theta) / (4 * n)
     omega = 2 * np.pi * f_d * times  # (n_t,)
     arg_i = omega * np.cos(alpha)[..., None] + phi
     arg_q = omega * np.sin(alpha)[..., None] + psi
@@ -188,7 +188,7 @@ def phase_ramp(env: RadioEnvironment, dims: GridDimensions) -> np.ndarray:
 
 
 def realize_channel(env: RadioEnvironment, fading: FadingConfig,
-                    dims: GridDimensions, seed: int,
+                    dims: GridDimensions, seed,
                     ramp: np.ndarray | None = None) -> ChannelRealization:
     """Draw one deterministic channel realization for a subframe.
 
@@ -198,61 +198,76 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     subcarriers through the delay-response sum H(f) = sum_i g_i e^{-j2πfτ_i}.
     A caller drawing many realizations passes ``phase_ramp(env, dims)`` as
     `ramp`, computed once.  The AwgnOnly environment is the identity channel.
+    A sequence of seeds stacks one realization per seed on a leading axis,
+    each drawn from its own generator exactly as if alone.
     """
+    if np.ndim(seed) == 0:
+        return ChannelRealization(realize_channel(env, fading, dims, [seed], ramp).h[0], seed)
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
     if env.name == "awgn_only":
-        h = np.zeros((2, 2, n_sc, n_sym), dtype=np.complex128)
-        h[0, 0] = 1.0
-        h[1, 1] = 1.0
+        h = np.zeros((len(seed), 2, 2, n_sc, n_sym), dtype=np.complex128)
+        h[:, [0, 1], [0, 1]] = 1.0
         return ChannelRealization(h, seed)
 
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seed]
     n_taps = len(env.delays_s)
     symbol_duration = (dims.fft_size + dims.cp_len) / dims.sample_rate_hz
     times = np.arange(n_sym) * symbol_duration
     f_d = fading.max_doppler_hz
 
-    scatter = _jakes_process(rng, (2, 2, n_taps), f_d, times)  # (2,2,taps,t)
+    scatter = _jakes_process(rngs, (2, 2, n_taps), f_d, times)  # (seeds, 2, 2, taps, t)
     r_tx = _corr_sqrt(fading.tx_corr)
     r_rx = _corr_sqrt(fading.rx_corr)
-    scatter = np.einsum("ma,abit,nb->mnit", r_tx, scatter, r_rx)
+    scatter = np.einsum("ma,...abit,nb->...mnit", r_tx, scatter, r_rx)
 
     k = fading.k_factor
     if k > 0:
-        los_phase = rng.uniform(-np.pi, np.pi)
-        los_aoa = rng.uniform(-np.pi, np.pi)
-        los = np.exp(1j * (2 * np.pi * f_d * math.cos(los_aoa) * times + los_phase))
-        scatter[:, :, 0, :] = (math.sqrt(k / (k + 1.0)) * los
-                               + math.sqrt(1.0 / (k + 1.0)) * scatter[:, :, 0, :])
+        # per generator: the line-of-sight phase, then its angle of arrival
+        los = np.array([(rng.uniform(-np.pi, np.pi), math.cos(rng.uniform(-np.pi, np.pi)))
+                        for rng in rngs])
+        los = np.exp(1j * (2 * np.pi * f_d * los[:, 1:] * times + los[:, :1]))[:, None, None, :]
+        scatter[..., 0, :] = (math.sqrt(k / (k + 1.0)) * los
+                              + math.sqrt(1.0 / (k + 1.0)) * scatter[..., 0, :])
 
     taps = scatter * np.sqrt(env.powers_linear)[:, None]
     ramp = phase_ramp(env, dims) if ramp is None else ramp
-    return ChannelRealization(ramp @ taps, seed)  # (2, 2, k, t)
+    return ChannelRealization(ramp @ taps, seed)  # (seeds, 2, 2, k, t)
 
 
 def apply_channel(tx_grids: np.ndarray, realization: ChannelRealization) -> np.ndarray:
-    """Noiseless received grids: y_n[k, t] = sum_m h[m, n, k, t] x_m[k, t]."""
+    """Noiseless received grids: y_n[k, t] = sum_m h[m, n, k, t] x_m[k, t], per stack item."""
     tx_grids = np.asarray(tx_grids)
-    if tx_grids.shape != (2,) + realization.h.shape[2:]:
+    h = realization.h
+    expected = h.shape[:-4] + (2,) + h.shape[-2:]
+    if tx_grids.shape != expected:
         raise ValueError(
-            f"tx grids shape {tx_grids.shape} does not match realization "
-            f"{(2,) + realization.h.shape[2:]}")
-    return np.einsum("mnkt,mkt->nkt", realization.h, tx_grids)
+            f"tx grids shape {tx_grids.shape} does not match realization {expected}")
+    return np.einsum("...mnkt,...mkt->...nkt", h, tx_grids)
 
 
-def add_awgn(signal: np.ndarray, snr_db: float | None, reference_power: float,
-             seed: int) -> np.ndarray:
+def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.ndarray:
     """Add circular complex Gaussian noise at the given per-element SNR.
 
     The noise variance per element is reference_power / 10^(snr_db/10);
-    snr_db of None or +inf bypasses the noise entirely.
+    snr_db of None or +inf bypasses the noise entirely, NaN and -inf are
+    rejected.  Sequences of SNRs and seeds stack signals on the leading
+    axis of `signal`, each drawing its own noise as if alone.
     """
-    signal = np.asarray(signal)
-    if snr_db is None or math.isinf(snr_db):
-        return signal.copy()
+    if np.ndim(seed) == 0:
+        return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]
     if reference_power <= 0:
         raise ValueError(f"reference power must be positive, got {reference_power}")
-    variance = reference_power / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(scale=math.sqrt(variance / 2.0), size=signal.shape + (2,))
-    return signal + noise[..., 0] + 1j * noise[..., 1]
+    noise = np.zeros(np.shape(signal) + (2,))
+    if not len(snr_db) == len(seed) == len(noise):
+        raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {len(noise)} signals")
+    for b, (snr, s) in enumerate(zip(snr_db, seed)):
+        if snr is None or snr == math.inf:
+            continue
+        if not snr > -math.inf:
+            raise ValueError(f"snr_db must be finite, +inf or None, got {snr}")
+        variance = reference_power / 10.0 ** (snr / 10.0)
+        noise[b] = np.random.default_rng(s).normal(scale=math.sqrt(variance / 2.0),
+                                                   size=noise.shape[1:])
+    out = noise.view(np.complex128)[..., 0]  # each pair of draws: real, imaginary
+    out += signal
+    return out

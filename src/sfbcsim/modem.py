@@ -71,14 +71,14 @@ def generate_bits(count: int, seed: int) -> np.ndarray:
 
 
 def modulate(bits: np.ndarray, constellation: QamConstellation) -> np.ndarray:
-    """Map a bit stream to complex symbols, one per bits_per_symbol bits."""
+    """Map a bit stream (the last axis) to complex symbols, one per bits_per_symbol bits."""
     bits = np.asarray(bits)
     k = constellation.bits_per_symbol
-    if bits.size % k != 0:
+    if bits.shape[-1] % k != 0:
         raise ValueError(
-            f"bit count {bits.size} is not divisible by bits_per_symbol {k}")
+            f"bit count {bits.shape[-1]} is not divisible by bits_per_symbol {k}")
     weights = 1 << np.arange(k - 1, -1, -1)
-    labels = bits.reshape(-1, k).astype(np.int64) @ weights
+    labels = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64) @ weights
     return constellation.points[labels]
 
 
@@ -106,13 +106,14 @@ def demodulate(symbols: np.ndarray, constellation: QamConstellation) -> np.ndarr
 
 
 def bit_errors(sent: np.ndarray, received: np.ndarray) -> tuple[int, float]:
-    """Hamming distance and bit error ratio of two equal-length bit streams."""
+    """Hamming distance and bit error ratio of two equal-length bit streams
+    (lists of them for streams stacked on leading axes, row by row)."""
     sent = np.asarray(sent)
     received = np.asarray(received)
-    if sent.size != received.size:
+    if sent.shape != received.shape:
         raise ValueError(
-            f"length mismatch: sent {sent.size} bits, received {received.size}")
+            f"shape mismatch: sent {sent.shape} bits, received {received.shape}")
     if sent.size == 0:
         raise ValueError("bit streams are empty")
-    errors = int(np.count_nonzero(sent != received))
-    return errors, errors / sent.size
+    errors = np.count_nonzero(sent != received, axis=-1)
+    return errors.tolist(), (errors / sent.shape[-1]).tolist()

@@ -107,16 +107,16 @@ class PilotPlan:
 
 
 def insert_pilots(grids: np.ndarray, plan: PilotPlan) -> np.ndarray:
-    """Write the pilot values into the port grids, shape (2, n_subcarriers, n_symbols).
+    """Write the pilot values into the port grids, shape (..., 2, n_subcarriers, n_symbols).
 
     Pilot and null REs (a pilot of one port is a null on the other) must
     still be zero, else the mapper placed data on them.
     """
-    occupied = np.any(grids[:, plan.k, plan.l], axis=0)
+    occupied = np.any(grids[..., plan.k, plan.l], axis=tuple(range(grids.ndim - 2)))
     if np.any(occupied):
         raise RuntimeError(f"pilot positions at symbol {plan.l[occupied][0]} already "
                            "carry data; reserve pilot REs before mapping")
-    grids[[[0], [1]], plan.k, plan.l] = plan.values
+    grids[..., [[0], [1]], plan.k, plan.l] = plan.values
     return grids
 
 
@@ -161,9 +161,10 @@ def estimate_channel(received_grids: np.ndarray, plan: PilotPlan) -> np.ndarray:
     """Estimate all four links from the received port grids.
 
     Returns an array of shape (2, 2, n_subcarriers, n_symbols) with entry
-    [m, n] the estimated gain from transmit port m to receive antenna n.
+    [m, n] the estimated gain from transmit port m to receive antenna n
+    (a stack of received grids adds its leading axes to both).
     The pilot/null duality is what separates the links: each port's pilots
     see silence from the other port.
     """
-    samples = normalize_pilots(np.asarray(received_grids)[:, plan.k, plan.l], plan.values)
-    return np.swapaxes(interpolate_channel(samples, plan), 0, 1)
+    samples = normalize_pilots(np.asarray(received_grids)[..., plan.k, plan.l], plan.values)
+    return np.swapaxes(interpolate_channel(samples, plan), -4, -3)

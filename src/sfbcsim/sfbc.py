@@ -58,14 +58,14 @@ def pair_indices(n_data_subcarriers: int, pairing: str) -> tuple[np.ndarray, np.
 def sfbc_encode(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transmit values of a batch of pairs, per antenna, at k0 and at k1.
 
-    Returns ``(at_k0, at_k1)``, each of shape (2, n_pairs) with row m the
-    values antenna m sends on that subcarrier, as in the table above.
+    Returns ``(at_k0, at_k1)``, each of shape (..., 2, n_pairs) with row m
+    the values antenna m sends on that subcarrier, as in the table above.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     x1 = np.asarray(x1, dtype=np.complex128)
     if x0.shape != x1.shape:
         raise ValueError(f"pair halves differ in shape: {x0.shape} vs {x1.shape}")
-    return np.stack([x0, x1]), np.stack([-np.conj(x1), np.conj(x0)])
+    return np.stack([x0, x1], axis=-2), np.stack([-np.conj(x1), np.conj(x0)], axis=-2)
 
 
 def sfbc_decode(y00: np.ndarray, y01: np.ndarray, y10: np.ndarray, y11: np.ndarray,
@@ -92,8 +92,8 @@ def sfbc_decode(y00: np.ndarray, y01: np.ndarray, y10: np.ndarray, y11: np.ndarr
 
 
 def interleave_pairs(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Inverse of the pair split: restore the source symbol order."""
-    out = np.empty(x0.size + x1.size, dtype=np.complex128)
-    out[0::2] = x0
-    out[1::2] = x1
+    """Inverse of the pair split: restore the source symbol order along the last axis."""
+    out = np.empty(x0.shape[:-1] + (2 * x0.shape[-1],), dtype=np.complex128)
+    out[..., 0::2] = x0
+    out[..., 1::2] = x1
     return out

@@ -96,6 +96,15 @@ class TestRealizeChannel:
         assert np.all(real.h[0, 0] == 1.0) and np.all(real.h[1, 1] == 1.0)
         assert np.all(real.h[0, 1] == 0.0) and np.all(real.h[1, 0] == 0.0)
 
+    @pytest.mark.parametrize("name", ["awgn_only", "hilly_terrain"])
+    @pytest.mark.parametrize("k_factor", [0.0, 10.0])
+    def test_stack_draws_each_realization_as_if_alone(self, dims, name, k_factor):
+        env, fading = build_environment(name), FadingConfig(k_factor=k_factor)
+        stacked = realize_channel(env, fading, dims, seed=[7, 8, 9]).h
+        assert stacked.shape == (3, 2, 2, dims.n_subcarriers, dims.n_symbols)
+        for b, seed in enumerate([7, 8, 9]):
+            assert np.array_equal(stacked[b], realize_channel(env, fading, dims, seed).h)
+
     def test_deterministic_in_seed(self, dims):
         env = build_environment("typical_urban")
         a = realize_channel(env, FadingConfig(), dims, seed=7)
@@ -257,6 +266,18 @@ class TestAddAwgn:
         x = np.ones(100, dtype=complex)
         assert np.array_equal(add_awgn(x, 3.0, 1.0, seed=2),
                               add_awgn(x, 3.0, 1.0, seed=2))
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_undefined_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError):
+            add_awgn(np.ones(4, dtype=complex), snr_db, 1.0, seed=1)
+
+    def test_stack_draws_each_signal_as_if_alone(self):
+        x = np.arange(12, dtype=complex).reshape(3, 4)
+        snrs, seeds = [3.0, None, -2.0], [5, 6, 7]
+        stacked = add_awgn(x, snrs, 1.0, seeds)
+        for b in range(3):
+            assert np.array_equal(stacked[b], add_awgn(x[b], snrs[b], 1.0, seeds[b]))
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for scenario validation, single trials, and sweep behaviour."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,15 @@ class TestAgainstTrialOracle:
         assert run_trial(cfg, snr_db, trial_seed) == \
             trial_oracle.run_trial(cfg, snr_db, trial_seed)
 
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=configs, trials=st.lists(st.tuples(snrs, trial_seeds), min_size=1, max_size=7))
+    def test_stacked_run_matches_oracle(self, cfg, trials):
+        import sfbcsim.harness as h
+
+        snr_db, seeds = zip(*trials)
+        assert h._engine(cfg).run(snr_db, seeds) == \
+            [trial_oracle.run_trial(cfg, snr, seed) for snr, seed in trials]
+
 
 class TestRunTrial:
     def test_noise_bypass_perfect_csi_awgn_only_is_exact(self):
@@ -231,19 +241,44 @@ class TestRunSweep:
     def test_no_trial_runs_past_the_stop(self, monkeypatch, n_jobs):
         import sfbcsim.harness as h
 
-        calls = []
+        trials_run = []
         original = h._TrialEngine.run
 
-        def counted(self, snr_db, trial_seed):
-            calls.append(trial_seed)
-            return original(self, snr_db, trial_seed)
+        def counted(self, snr_db, trial_seeds):
+            trials_run.extend(trial_seeds)
+            return original(self, snr_db, trial_seeds)
 
         monkeypatch.setattr(h._TrialEngine, "run", counted)
         # 12,000 bits take 7 trials of 1,824 bits: an odd count per point
         cfg = make_config(snr_db=(0.0, 6.0), min_bits=12_000, max_bits=12_000)
         records = run_sweep(cfg, n_jobs=n_jobs)
         assert [r.n_trials for r in records] == [7, 7]
-        assert len(calls) == sum(r.n_trials for r in records)
+        assert len(trials_run) == sum(r.n_trials for r in records)
+
+    def test_stages_run_once_per_stack(self, monkeypatch):
+        import sfbcsim.harness as h
+        import sfbcsim.modem as modem
+        import sfbcsim.sfbc as sfbc
+
+        calls = dict.fromkeys(("run", "trials", "generate_bits", "sfbc_encode"), 0)
+        original_run = h._TrialEngine.run
+
+        def counted_run(self, snr_db, trial_seeds):
+            calls["run"] += 1
+            calls["trials"] += len(trial_seeds)
+            return original_run(self, snr_db, trial_seeds)
+
+        monkeypatch.setattr(h._TrialEngine, "run", counted_run)
+        for module, name in ((modem, "generate_bits"), (sfbc, "sfbc_encode")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        # five 6-RB points: stacks of four, then one
+        records = run_sweep(make_config(snr_db=(0.0, 2.0, 4.0, 6.0, 8.0), max_bits=12_000))
+        assert calls["trials"] == sum(r.n_trials for r in records)
+        assert calls["generate_bits"] == calls["trials"]
+        assert calls["sfbc_encode"] == calls["run"] < calls["trials"]
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -270,17 +305,27 @@ class TestRunSweep:
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
         engine = h._engine(cfg)
         original = type(engine).run
+        clean = run_sweep(cfg)
+        failing = derive_seed(cfg.seed, 1, 0, 3)  # the 0 dB point's fourth trial
 
-        def flaky(self, snr_db, trial_seed):
-            if snr_db == 0.0:
+        def flaky(self, snr_db, trial_seeds):
+            if failing in trial_seeds:
                 raise h.SimulationError("stage 'add_awgn' failed: boom")
-            return original(self, snr_db, trial_seed)
+            return original(self, snr_db, trial_seeds)
 
         monkeypatch.setattr(type(engine), "run", flaky)
         records = run_sweep(cfg)
         assert records[0].error is not None and "add_awgn" in records[0].error
-        assert records[0].total_bits == 0
+        assert records[0].total_bits == 0 and records[0].n_trials == 3
         assert records[1].error is None and records[1].total_bits > 0
+        assert records[1] == dataclasses.replace(clean[1], wall_time=records[1].wall_time)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_undefined_snr_fails_the_trial(self, snr_db):
+        import sfbcsim.harness as h
+
+        with pytest.raises(h.SimulationError, match="add_awgn"):
+            run_trial(make_config(modulation=16), snr_db, 11)
 
     def test_correlation_penalty(self):
         # high spatial correlation degrades BER at fixed SNR (3-sigma check)
