@@ -152,7 +152,7 @@ class ChannelRealization:
     the seed; a stack of realizations has a leading axis and a seed per item."""
 
     h: np.ndarray
-    seed: int
+    seed: int | tuple[int, ...] | list[int]
 
 
 def _corr_sqrt(rho: float) -> np.ndarray:

@@ -28,8 +28,8 @@ trial t of every point still open, in stacks of at most _STACK_RES resource
 elements (four 6-RB trials, or one trial at 15 RB and above).  A point adds
 its results in trial order and closes at the first trial that meets the
 stopping rule, so exactly the serial set of trials runs.  Each trial draws
-its streams from its own generators and every stacked stage is elementwise
-per trial, so the output bytes cannot depend on how trials are stacked.
+its streams from its own generators and each stacked stage treats every
+trial alone, so no output byte depends on how trials are stacked.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ def demodulate(symbols: np.ndarray, constellation: QamConstellation) -> np.ndarr
     return bits.ravel()
 
 
-def bit_errors(sent: np.ndarray, received: np.ndarray) -> tuple[int, float]:
+def bit_errors(sent: np.ndarray, received: np.ndarray) -> tuple[int | list, float | list]:
     """Hamming distance and bit error ratio of two equal-length bit streams
     (lists of them for streams stacked on leading axes, row by row)."""
     sent = np.asarray(sent)
