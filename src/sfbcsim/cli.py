@@ -284,7 +284,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="accepted for compatibility; trials run serially")
+                       help="processes that share out the SNR points (at most the "
+                            "usable CPUs; output bytes do not depend on it)")
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("config")
@@ -312,12 +313,15 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
 def _cmd_sweep(args) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
     records = run_sweep(config, n_jobs=args.jobs)
+    for r in records:
+        print(f"snr={r.snr_db:g} dB  failed: {r.error}" if r.error is not None else
+              f"snr={r.snr_db:g} dB  bits={r.total_bits}  errors={r.bit_errors}  "
+              f"ber={r.ber:.3e}  trials={r.n_trials}")
+    if all(r.error is not None for r in records):
+        raise SimulationError("every sweep point failed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
-    for r in records:
-        print(f"snr={r.snr_db:g} dB  bits={r.total_bits}  errors={r.bit_errors}  "
-              f"ber={r.ber:.3e}  trials={r.n_trials}")
     if args.format == "csv":
         out = out_dir / f"{stem}.csv"
         emit_csv(records, out)

@@ -23,23 +23,31 @@ Seed splitting is bit-exact and reproducible:
 * inside a trial, the bit/channel/noise streams use
   SeedSequence(trial_seed, spawn_key=(j,)) for j = 0, 1, 2
 
-run_sweep runs a sweep as a wavefront on the calling thread: step t runs
-trial t of every point still open, in stacks of at most _STACK_RES resource
-elements (four 6-RB trials, or one trial at 15 RB and above).  A point adds
-its results in trial order and closes at the first trial that meets the
-stopping rule, so exactly the serial set of trials runs.  Each trial draws
-its streams from its own generators and each stacked stage treats every
-trial alone, so no output byte depends on how trials are stacked.
+run_sweep deals the points out in interleaved shares (k, k + w, k + 2w, ...)
+to w processes: the calling one, and w - 1 children made with os.fork that
+inherit the built engine and send their points back pickled over a pipe.
+A trial's seed depends on (i, t) alone, so no output byte depends on w.
+Each share runs as a wavefront: step t runs trial t of every point still
+open, in stacks of at most _STACK_RES resource elements (four 6-RB trials,
+or one trial at 15 RB and above).  A point adds its results in trial order
+and closes at the first trial that meets the stopping rule, so exactly the
+serial set of trials runs.  Each trial draws its streams from its own
+generators and each stacked stage treats every trial alone, so no output
+byte depends on how trials are stacked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import os
+import pickle
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -158,7 +166,8 @@ class BerRecord:
     A point whose pipeline failed carries the diagnostic in `error` and no
     measurement; such records are kept in the sweep result but excluded
     from CSV output (the CSV schema has no error column).  `wall_time` is the
-    point's share of every stack it ran in: the stack's time over its width.
+    point's share of every stack it ran in: the stack's time over its width,
+    timed in whichever process ran the point.
     """
 
     snr_db: float
@@ -291,23 +300,15 @@ def _run_stack(engine: _TrialEngine, snr_db: list[float],
     return [_run_stack(engine, [snr], [seed])[0] for snr, seed in zip(snr_db, seeds)]
 
 
-def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
-    """BER at every configured SNR, in ascending SNR order.
-
-    Each point runs whole-subframe trials until `max_bits` is reached or
-    100 bit errors have accumulated, whichever comes first, but never
-    stops below `min_bits`.  `n_jobs` must be at least 1; it is accepted
-    for compatibility and does not change how the trials run.
-    """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+def _run_points(config: ScenarioConfig, indices: Sequence[int]) -> list[dict]:
+    """The point dicts of the ascending-SNR points `indices`, run as one wavefront."""
     engine = _engine(config)
     max_bits = config.effective_max_bits()
     width = max(1, _STACK_RES // (engine.dims.n_subcarriers * engine.dims.n_symbols))
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
-    points = [dict(snr_db=float(config.snr_db[i]), total_bits=0, bit_errors=0, n_trials=0,
-                   wall_time=0.0, error=None) for i in order]
-    open_points, t = list(range(len(points))), 0
+    points = {i: dict(snr_db=float(config.snr_db[order[i]]), total_bits=0, bit_errors=0,
+                      n_trials=0, wall_time=0.0, error=None) for i in indices}
+    open_points, t = list(points), 0
     while open_points:
         for lo in range(0, len(open_points), width):
             stack = open_points[lo:lo + width]
@@ -324,10 +325,73 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
                 else:
                     p.update(total_bits=p["total_bits"] + result[0], n_trials=p["n_trials"] + 1,
                              bit_errors=p["bit_errors"] + result[1])
-        open_points = [i for i, p in enumerate(points) if p["error"] is None and (
+        open_points = [i for i, p in points.items() if p["error"] is None and (
             p["total_bits"] < config.min_bits
             or (p["bit_errors"] < ERROR_TARGET and p["total_bits"] < max_bits))]
         t += 1
+    return list(points.values())
+
+
+def _run_share(config: ScenarioConfig, indices: Sequence[int], pipe: BinaryIO) -> NoReturn:
+    """A forked child's life: pickle its points, or its error's text, into the pipe.
+
+    It leaves only by `os._exit`, so it never returns into the caller,
+    flushes inherited stdio or runs exit handlers.
+    """
+    try:
+        try:
+            result = _run_points(config, indices)
+        except Exception as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        pickle.dump(result, pipe)
+        pipe.close()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
+    """BER at every configured SNR, in ascending SNR order.
+
+    Each point runs whole-subframe trials until `max_bits` is reached or
+    100 bit errors have accumulated, whichever comes first, but never
+    stops below `min_bits`.  The points are dealt out in interleaved shares
+    to w = min(n_jobs, usable CPUs, points) processes: this one runs share
+    0 and a forked child each other share (w = 1 without `os.fork`).  A
+    child that dies or fails other than by SimulationError raises RuntimeError.
+    """
+    if operator.index(n_jobs) < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+    _engine(config)  # built before any fork, so every share inherits it
+    n = len(config.snr_db)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
+    points, pids, pipes = [None] * n, [], []
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:  # the parent's copy closes on leaving
+                if (pid := os.fork()) == 0:
+                    _run_share(config, range(k, n, workers), sink)
+            pids.append(pid)
+        points[0::workers] = _run_points(config, range(0, n, workers))
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal  # here only: a sweep that succeeds imports nothing new
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (pid, payload, status) in enumerate(zip(pids, payloads, statuses), 1):
+        result = pickle.loads(payload) if status == 0 else \
+            f"exit status {os.waitstatus_to_exitcode(status)}"
+        if isinstance(result, str):
+            raise RuntimeError(f"sweep worker {pid} failed: {result}")
+        points[k::workers] = result
     return [BerRecord(**p, seed=config.seed,
                       ber=p["bit_errors"] / p["total_bits"] if p["error"] is None else 0.0)
             for p in points]

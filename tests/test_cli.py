@@ -265,6 +265,23 @@ class TestMain:
         assert (out_dir / "smoke.json").exists()
         assert (out_dir / "smoke.svg").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--plot"], ["--format", "json"]])
+    def test_sweep_with_every_point_failed_exits_two(self, small_config, tmp_path, capsys,
+                                                     monkeypatch, extra):
+        import sfbcsim.harness as h
+
+        def broken(self, snr_db, trial_seeds):
+            raise h.SimulationError("stage 'add_awgn' failed: boom")
+
+        monkeypatch.setattr(h._TrialEngine, "run", broken)
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir), *extra]) == 2
+        captured = capsys.readouterr()
+        assert "failed: stage 'add_awgn' failed: boom" in captured.out
+        assert "ber=" not in captured.out
+        assert "error: every sweep point failed" in captured.err
+        assert not out_dir.exists()
+
     def test_jobs_do_not_change_bytes(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", str(small_config), "--out", str(a), "--jobs", "1"]) == 0

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,16 @@ from sfbcsim.channel import ENVIRONMENT_NAMES
 from sfbcsim.grid import RB_BANDWIDTH_MHZ
 from sfbcsim.harness import ScenarioConfig, derive_seed, run_sweep, run_trial
 from sfbcsim.pilots import PilotPattern
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="sweeps fork only on POSIX")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs, so a sweep forks at most one child on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def make_config(**overrides):
@@ -238,14 +250,16 @@ class TestRunSweep:
                    (b.snr_db, b.total_bits, b.bit_errors, b.n_trials, b.seed)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_no_trial_runs_past_the_stop(self, monkeypatch, n_jobs):
+    def test_no_trial_runs_past_the_stop(self, monkeypatch, tmp_path, two_cpus, n_jobs):
         import sfbcsim.harness as h
 
-        trials_run = []
+        # forked children count into a shared file: appends of one line are atomic
+        log = tmp_path / "stacks.txt"
         original = h._TrialEngine.run
 
         def counted(self, snr_db, trial_seeds):
-            trials_run.extend(trial_seeds)
+            with open(log, "a") as f:
+                f.write(f"{len(trial_seeds)}\n")
             return original(self, snr_db, trial_seeds)
 
         monkeypatch.setattr(h._TrialEngine, "run", counted)
@@ -253,7 +267,7 @@ class TestRunSweep:
         cfg = make_config(snr_db=(0.0, 6.0), min_bits=12_000, max_bits=12_000)
         records = run_sweep(cfg, n_jobs=n_jobs)
         assert [r.n_trials for r in records] == [7, 7]
-        assert len(trials_run) == sum(r.n_trials for r in records)
+        assert sum(map(int, log.read_text().split())) == sum(r.n_trials for r in records)
 
     def test_stages_run_once_per_stack(self, monkeypatch):
         import sfbcsim.harness as h
@@ -283,6 +297,64 @@ class TestRunSweep:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(make_config(), n_jobs=0)
+        with pytest.raises(TypeError):
+            run_sweep(make_config(), n_jobs=2.0)
+
+    @needs_fork
+    def test_workers_capped_at_cpus_and_points(self, monkeypatch, two_cpus):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        run_sweep(make_config(snr_db=(0.0, 2.0, 4.0, 6.0), max_bits=12_000), n_jobs=64)
+        assert len(forks) == 1
+        run_sweep(make_config(snr_db=(0.0,), max_bits=12_000), n_jobs=64)
+        assert len(forks) == 1
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
+        serial = run_sweep(cfg)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(cfg, n_jobs=2)] == \
+               [dataclasses.replace(r, wall_time=0.0) for r in serial]
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc")
+    @pytest.mark.parametrize("fault,message", [("child raises", "ValueError: boom"),
+                                               ("child exits", "exit status 7"),
+                                               ("parent raises", "boom")])
+    def test_failed_share_raises_and_leaves_no_child_or_fd(self, monkeypatch, two_cpus,
+                                                           fault, message):
+        import sfbcsim.harness as h
+
+        parent, original = os.getpid(), h._TrialEngine.run
+
+        def broken(self, snr_db, trial_seeds):
+            in_child = os.getpid() != parent
+            if fault == "child exits" and in_child:
+                os._exit(7)
+            if fault == "parent raises" and in_child:
+                time.sleep(30)  # only a kill ends this share in time
+            if in_child == fault.startswith("child"):
+                raise ValueError("boom")
+            return original(self, snr_db, trial_seeds)
+
+        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
+        h._engine(cfg)
+        monkeypatch.setattr(h._TrialEngine, "run", broken)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        start = time.perf_counter()
+        with pytest.raises((RuntimeError, ValueError), match=message):
+            run_sweep(cfg, n_jobs=2)
+        assert time.perf_counter() - start < 15
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_rewritten_tap_file_is_reread(self, tmp_path):
         import sfbcsim.harness as h
@@ -299,14 +371,16 @@ class TestRunSweep:
                (fresh.total_bits, fresh.bit_errors)
         assert rewritten.bit_errors != flat.bit_errors
 
-    def test_failed_point_recorded_and_sweep_continues(self, monkeypatch):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_failed_point_recorded_and_sweep_continues(self, monkeypatch, two_cpus, n_jobs):
         import sfbcsim.harness as h
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
         engine = h._engine(cfg)
         original = type(engine).run
         clean = run_sweep(cfg)
-        failing = derive_seed(cfg.seed, 1, 0, 3)  # the 0 dB point's fourth trial
+        # the 6 dB point's fourth trial: the second share, a child's at n_jobs=2
+        failing = derive_seed(cfg.seed, 1, 1, 3)
 
         def flaky(self, snr_db, trial_seeds):
             if failing in trial_seeds:
@@ -314,11 +388,14 @@ class TestRunSweep:
             return original(self, snr_db, trial_seeds)
 
         monkeypatch.setattr(type(engine), "run", flaky)
-        records = run_sweep(cfg)
-        assert records[0].error is not None and "add_awgn" in records[0].error
-        assert records[0].total_bits == 0 and records[0].n_trials == 3
-        assert records[1].error is None and records[1].total_bits > 0
-        assert records[1] == dataclasses.replace(clean[1], wall_time=records[1].wall_time)
+        records = run_sweep(cfg, n_jobs=n_jobs)
+        assert records[1].error is not None and "add_awgn" in records[1].error
+        assert records[1].total_bits == 0 and records[1].n_trials == 3
+        assert records[0].error is None and records[0].total_bits > 0
+        assert records[0] == dataclasses.replace(clean[0], wall_time=records[0].wall_time)
+        serial = run_sweep(cfg, n_jobs=1)
+        assert [dataclasses.replace(r, wall_time=0.0) for r in records] == \
+               [dataclasses.replace(r, wall_time=0.0) for r in serial]
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_undefined_snr_fails_the_trial(self, snr_db):
