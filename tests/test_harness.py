@@ -371,15 +371,35 @@ class TestRunSweep:
                (fresh.total_bits, fresh.bit_errors)
         assert rewritten.bit_errors != flat.bit_errors
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_failed_point_recorded_and_sweep_continues(self, monkeypatch, two_cpus, n_jobs):
+    def test_failed_point_recorded_and_sweep_continues(self, monkeypatch):
         import sfbcsim.harness as h
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
         engine = h._engine(cfg)
         original = type(engine).run
         clean = run_sweep(cfg)
-        # the 6 dB point's fourth trial: the second share, a child's at n_jobs=2
+        failing = derive_seed(cfg.seed, 1, 0, 3)  # the 0 dB point's fourth trial
+
+        def flaky(self, snr_db, trial_seeds):
+            if failing in trial_seeds:
+                raise h.SimulationError("stage 'add_awgn' failed: boom")
+            return original(self, snr_db, trial_seeds)
+
+        monkeypatch.setattr(type(engine), "run", flaky)
+        records = run_sweep(cfg)
+        assert records[0].error is not None and "add_awgn" in records[0].error
+        assert records[0].total_bits == 0 and records[0].n_trials == 3
+        assert records[1].error is None and records[1].total_bits > 0
+        assert records[1] == dataclasses.replace(clean[1], wall_time=records[1].wall_time)
+
+    def test_failed_point_in_child_share_matches_serial(self, monkeypatch, two_cpus):
+        import sfbcsim.harness as h
+
+        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
+        engine = h._engine(cfg)
+        original = type(engine).run
+        clean = run_sweep(cfg)
+        # the 6 dB point's fourth trial: the second share, run by a child at n_jobs=2
         failing = derive_seed(cfg.seed, 1, 1, 3)
 
         def flaky(self, snr_db, trial_seeds):
@@ -388,7 +408,7 @@ class TestRunSweep:
             return original(self, snr_db, trial_seeds)
 
         monkeypatch.setattr(type(engine), "run", flaky)
-        records = run_sweep(cfg, n_jobs=n_jobs)
+        records = run_sweep(cfg, n_jobs=2)
         assert records[1].error is not None and "add_awgn" in records[1].error
         assert records[1].total_bits == 0 and records[1].n_trials == 3
         assert records[0].error is None and records[0].total_bits > 0
