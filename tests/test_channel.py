@@ -282,3 +282,18 @@ class TestAddAwgn:
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
             add_awgn(np.ones(4, dtype=complex), 0.0, 0.0, seed=1)
+
+    def test_stack_matches_the_normal_stream(self):
+        # a noisy row is x + normal(scale=sqrt(var/2)) drawn as (real, imag)
+        # pairs from the row's own generator, bit for bit
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((5, 2, 72, 14)) + 1j * rng.standard_normal((5, 2, 72, 14))
+        snrs, seeds, power = [3.0, None, -2.5, math.inf, 17.0], [11, 12, 13, 14, 15], 0.75
+        stacked = add_awgn(x, snrs, power, seeds)
+        for b, (snr, seed) in enumerate(zip(snrs, seeds)):
+            if snr is None or snr == math.inf:
+                assert np.array_equal(stacked[b], x[b])
+                continue
+            scale = math.sqrt(power / 10.0 ** (snr / 10.0) / 2.0)
+            draws = np.random.default_rng(seed).normal(scale=scale, size=x[b].shape + (2,))
+            assert np.array_equal(stacked[b], x[b] + draws.view(np.complex128)[..., 0])

@@ -114,6 +114,56 @@ class TestDemodulate:
                               [0, 0])
 
 
+def reference_demodulate(symbols, c):
+    """The per-axis argmin demapper: the exact reference for `demodulate`.
+
+    Each axis takes the first minimum of |value - level| over the levels in
+    axis-label order, so ties go to the lowest label and NaN to label 0.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    k = c.bits_per_symbol
+    m = k // 2
+    # the in-phase level of axis label g: the point whose even bits spell g
+    levels = np.array([c.points[sum(((g >> (m - 1 - i)) & 1) << (k - 1 - 2 * i)
+                                    for i in range(m))].real for g in range(2 ** m)])
+    i_lab = np.argmin(np.abs(symbols.real[:, None] - levels[None, :]), axis=1)
+    q_lab = np.argmin(np.abs(symbols.imag[:, None] - levels[None, :]), axis=1)
+    bits = np.empty((symbols.size, k), dtype=np.uint8)
+    for b in range(m):
+        bits[:, 2 * b] = (i_lab >> (m - 1 - b)) & 1
+        bits[:, 2 * b + 1] = (q_lab >> (m - 1 - b)) & 1
+    return bits.ravel()
+
+
+class TestDemodulateAgainstReference:
+    """`demodulate` must equal the per-axis argmin demapper bit for bit."""
+
+    def test_noisy_symbols(self, constellation):
+        rng = np.random.default_rng(constellation.order)
+        sent = modulate(generate_bits(3000 * constellation.bits_per_symbol, seed=4),
+                        constellation)
+        for sigma in (0.05, 0.3, 3.0):
+            noisy = sent + sigma * (rng.standard_normal(sent.size)
+                                    + 1j * rng.standard_normal(sent.size))
+            assert np.array_equal(demodulate(noisy, constellation),
+                                  reference_demodulate(noisy, constellation))
+
+    def test_every_midpoint_on_both_axes(self, constellation):
+        levels = np.unique(constellation.points.real)
+        mids = [(a + b) / 2 for i, a in enumerate(levels) for b in levels[i + 1:]]
+        axis = np.concatenate([levels, mids])
+        symbols = (axis[:, None] + 1j * axis[None, :]).ravel()
+        assert np.array_equal(demodulate(symbols, constellation),
+                              reference_demodulate(symbols, constellation))
+
+    def test_signed_zeros_infinities_and_nan(self, constellation):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5])
+        symbols = np.empty((special.size, special.size), dtype=np.complex128)
+        symbols.real, symbols.imag = special[:, None], special[None, :]
+        assert np.array_equal(demodulate(symbols, constellation),
+                              reference_demodulate(symbols, constellation))
+
+
 class TestBitErrors:
     def test_identical(self):
         assert bit_errors(np.ones(10, int), np.ones(10, int)) == (0, 0.0)
