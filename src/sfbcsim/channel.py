@@ -257,17 +257,18 @@ def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.nda
         return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]
     if reference_power <= 0:
         raise ValueError(f"reference power must be positive, got {reference_power}")
-    noise = np.zeros(np.shape(signal) + (2,))
+    noise = np.empty(np.shape(signal) + (2,))
     if not len(snr_db) == len(seed) == len(noise):
         raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {len(noise)} signals")
     for b, (snr, s) in enumerate(zip(snr_db, seed)):
         if snr is None or snr == math.inf:
+            noise[b] = 0.0
             continue
         if not snr > -math.inf:
             raise ValueError(f"snr_db must be finite, +inf or None, got {snr}")
         variance = reference_power / 10.0 ** (snr / 10.0)
-        noise[b] = np.random.default_rng(s).normal(scale=math.sqrt(variance / 2.0),
-                                                   size=noise.shape[1:])
+        np.random.default_rng(s).standard_normal(out=noise[b])  # normal(): 0 + scale * z
+        noise[b] *= math.sqrt(variance / 2.0)
     out = noise.view(np.complex128)[..., 0]  # each pair of draws: real, imaginary
     out += signal
     return out

@@ -56,7 +56,12 @@ class QamConstellation:
         self._axis_levels = np.array(
             [_gray_amplitude(tuple((g >> (m_axis - 1 - i)) & 1 for i in range(m_axis)))
              for g in range(2 ** m_axis)], dtype=np.float64) / scale
-        self._axis_bits = m_axis
+        # row i * 2**m_axis + q: the bits of in-phase axis label i, quadrature q
+        i_lab, q_lab = np.divmod(np.arange(order), 2 ** m_axis)
+        self._pair_bits = np.empty((order, self.bits_per_symbol), dtype=np.uint8)
+        for b in range(m_axis):
+            self._pair_bits[:, 2 * b] = (i_lab >> (m_axis - 1 - b)) & 1
+            self._pair_bits[:, 2 * b + 1] = (q_lab >> (m_axis - 1 - b)) & 1
 
     def __repr__(self) -> str:
         return f"QamConstellation(order={self.order})"
@@ -77,32 +82,28 @@ def modulate(bits: np.ndarray, constellation: QamConstellation) -> np.ndarray:
     if bits.shape[-1] % k != 0:
         raise ValueError(
             f"bit count {bits.shape[-1]} is not divisible by bits_per_symbol {k}")
-    weights = 1 << np.arange(k - 1, -1, -1)
-    labels = bits.reshape(bits.shape[:-1] + (-1, k)).astype(np.int64) @ weights
+    columns = bits.reshape(bits.shape[:-1] + (-1, k))
+    labels = columns[..., 0].astype(np.intp)
+    for j in range(1, k):  # big-endian label: shift in one bit column at a time
+        labels <<= 1
+        labels |= columns[..., j]
     return constellation.points[labels]
-
-
-def _axis_labels(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # nearest level per axis; ties resolve to the lowest axis bit label
-    # because argmin returns the first minimum and levels are in label order
-    d = np.abs(values[:, None] - levels[None, :])
-    return np.argmin(d, axis=1)
 
 
 def demodulate(symbols: np.ndarray, constellation: QamConstellation) -> np.ndarray:
     """Hard-decision demap: nearest constellation point, ties to lowest label."""
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    m = constellation._axis_bits
+    # one row per symbol: its in-phase and quadrature values, decided apart
+    axes = np.asarray(symbols, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2)
     levels = constellation._axis_levels
-    i_lab = _axis_labels(symbols.real, levels)
-    q_lab = _axis_labels(symbols.imag, levels)
-    k = constellation.bits_per_symbol
-    bits = np.empty((symbols.size, k), dtype=np.uint8)
-    for b in range(m):
-        shift = m - 1 - b
-        bits[:, 2 * b] = (i_lab >> shift) & 1
-        bits[:, 2 * b + 1] = (q_lab >> shift) & 1
-    return bits.ravel()
+    best = np.abs(axes - levels[0])
+    labels = np.zeros(axes.shape, dtype=np.int8)
+    for label in range(1, levels.size):
+        distance = np.abs(axes - levels[label])
+        # strict: a tie keeps the lower label and NaN never moves off label 0
+        labels += (distance < best) * (label - labels)
+        np.minimum(best, distance, out=best)
+    pairs = labels[:, 0] * levels.size + labels[:, 1]
+    return np.take(constellation._pair_bits, pairs, axis=0).ravel()
 
 
 def bit_errors(sent: np.ndarray, received: np.ndarray) -> tuple[int | list, float | list]:

@@ -92,8 +92,8 @@ class TestPairMaps:
         engine = h._engine(make_config(n_rb=n_rb, pairing=pairing))
         dims = engine.dims
         uses = np.zeros((dims.n_subcarriers, dims.n_symbols), dtype=int)
-        np.add.at(uses, (engine.k0, engine.l), 1)
-        np.add.at(uses, (engine.k1, engine.l), 1)
+        np.add.at(uses.reshape(-1), engine.re0, 1)  # flat index k * n_symbols + l
+        np.add.at(uses.reshape(-1), engine.re1, 1)
         pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
         data = np.zeros_like(uses)
         for sym in range(dims.n_symbols):
@@ -102,15 +102,19 @@ class TestPairMaps:
         for port in (0, 1):  # a pilot of one port is a null on the other
             for sym, k in pattern.pilot_positions(port):
                 assert not uses[k, sym].any()
-        assert np.all(np.diff(engine.l) >= 0)  # transmit order: symbol by symbol
+        # transmit order: symbol by symbol, both REs of a pair in one symbol
+        assert np.all(np.diff(engine.re0 % dims.n_symbols) >= 0)
+        assert np.array_equal(engine.re0 % dims.n_symbols, engine.re1 % dims.n_symbols)
+        assert np.array_equal(engine.re0, engine.k0 * dims.n_symbols + engine.l)
         assert engine.symbols_per_subframe == int(data.sum())
 
 
 class TestStageCounts:
-    """Per-trial calls of each pilot function on an engine that is already built.
+    """Per-trial calls of pilot and OFDM functions on an engine that is already built.
 
-    Counting wrappers sit at the `sfbcsim.pilots` attributes, where the
-    engine looks the functions up and where an outside tracer wraps them.
+    Counting wrappers sit at the `sfbcsim.pilots` and `sfbcsim.harness`
+    attributes, where the engine looks the functions up and where an outside
+    tracer wraps them.
     """
 
     @pytest.mark.parametrize("csi,estimates", [("estimated", 1), ("perfect", 0)])
@@ -134,6 +138,23 @@ class TestStageCounts:
                          "estimate_channel": estimates * n_trials,
                          "normalize_pilots": estimates * n_trials,
                          "interpolate_channel": estimates * n_trials}
+
+    @pytest.mark.parametrize("csi", ["estimated", "perfect"])
+    def test_no_ofdm_round_trip_per_trial(self, monkeypatch, csi):
+        import sfbcsim.harness as h
+
+        cfg = make_config(csi=csi)
+        h._engine(cfg)
+        calls = dict.fromkeys(("zero_pad", "ofdm_modulate", "ofdm_demodulate"), 0)
+        for name in calls:  # raises if the harness no longer binds the name
+            def counted(*args, _name=name, _fn=getattr(h, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(h, name, counted)
+        for t in range(3):
+            run_trial(cfg, 10.0, t)
+        h._engine(cfg).run([10.0, None, 3.0], [3, 4, 5])
+        assert calls == dict.fromkeys(calls, 0)
 
 
 configs = st.builds(

@@ -4,7 +4,8 @@ Independent oracle for the harness tests: the literal one-trial chain, built
 from the modules alone (no engine, no cached tables), exactly as the harness
 ran it before trials were stacked.  The engine must return the same
 (bits_sent, bit_errors) as `run_trial` here for every trial, whatever stack
-it runs the trial in.
+it runs the trial in.  The oracle keeps the OFDM round trip that the engine
+leaves out, so that match also shows that leaving it out changes no decision.
 """
 
 import numpy as np
