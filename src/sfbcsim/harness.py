@@ -234,6 +234,7 @@ class _TrialEngine:
         _stage("insert_pilots", pilots.insert_pilots, tx, self.pilot_plan)
         tx *= ANTENNA_AMPLITUDE
 
+        # no OFDM round trip: the channel acts on the grid (see the module docstring)
         realization = _stage("realize_channel", chan.realize_channel,
                              self.env, self.fading, dims, channel_seeds, self.phase_ramp)
         received = _stage("apply_channel", chan.apply_channel, tx, realization)
@@ -241,8 +242,7 @@ class _TrialEngine:
         received = _stage("add_awgn", chan.add_awgn, received, snr_db,
                           self.reference_power, noise_seeds)
 
-        # channel taken at the pair's first subcarrier, assumed constant
-        # across the pair
+        # channel taken at the pair's first RE, assumed constant across the pair
         if cfg.csi == "perfect":
             h_pair = realization.h.reshape(n, 2, 2, -1)[..., self.re0] * ANTENNA_AMPLITUDE
         else:
