@@ -267,9 +267,8 @@ def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.nda
         if not snr > -math.inf:
             raise ValueError(f"snr_db must be finite, +inf or None, got {snr}")
         variance = reference_power / 10.0 ** (snr / 10.0)
-        # bit for bit what normal(scale=...) gives, as it computes 0 + scale * z
         np.random.default_rng(s).standard_normal(out=noise[b])
-        noise[b] *= math.sqrt(variance / 2.0)
+        noise[b] *= math.sqrt(variance / 2.0)  # normal(scale=...) bit for bit: 0 + scale * z
     out = noise.view(np.complex128)[..., 0]  # each pair of draws: real, imaginary
     out += signal
     return out

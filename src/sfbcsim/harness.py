@@ -201,13 +201,11 @@ class _TrialEngine:
             dk = self.pattern.data_subcarriers(l)
             i0, i1 = sfbc.pair_indices(dk.size, config.pairing)
             pairs.append((dk[i0], dk[i1], np.full(i0.size, l)))
-        self.k0, k1, self.l = (np.concatenate(a) for a in zip(*pairs))
-        # flat RE indices k * n_symbols + l of each pair's two REs; the received
-        # grids are read at antennas 0 and 1 at the first RE, then the second
-        n_sym, n_res = self.dims.n_symbols, self.dims.n_subcarriers * self.dims.n_symbols
-        self.re0, self.re1 = self.k0 * n_sym + self.l, k1 * n_sym + self.l
-        self.rx_res = np.stack([self.re0, self.re0 + n_res, self.re1, self.re1 + n_res])
-        self.symbols_per_subframe = 2 * self.k0.size
+        k0, k1, l = (np.concatenate(a) for a in zip(*pairs))
+        # flat RE indices k * n_symbols + l: the pairs' first REs, then their second
+        self.res = np.concatenate([k0, k1]) * self.dims.n_symbols + np.tile(l, 2)
+        self.re0, self.re1 = np.split(self.res, 2)
+        self.symbols_per_subframe = self.res.size
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
 
         # ensemble-average received data-RE power: each fading link has unit
@@ -246,11 +244,14 @@ class _TrialEngine:
         if cfg.csi == "perfect":
             h_pair = realization.h.reshape(n, 2, 2, -1)[..., self.re0] * ANTENNA_AMPLITUDE
         else:
+            k0, l = np.divmod(self.re0, dims.n_symbols)
             h_pair = _stage("estimate_channel", pilots.estimate_channel,
-                            received, self.pilot_plan)[..., self.k0, self.l]
-        x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode,
-                        *np.moveaxis(received.reshape(n, -1)[:, self.rx_res], 1, 0),
-                        np.moveaxis(h_pair, -1, -3))
+                            received, self.pilot_plan)[..., k0, l]
+        # y[b, receive antenna, first or second RE of the pair, pair]
+        y = received.reshape(n, 2, -1)[..., self.res].reshape(n, 2, 2, -1)
+        del received, realization  # combining is where a trial peaks in memory
+        x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode, y[:, 0, 0], y[:, 1, 0],
+                        y[:, 0, 1], y[:, 1, 1], np.moveaxis(h_pair, -1, -3))
         decoded = sfbc.interleave_pairs(x0, x1)
 
         rx_bits = _stage("demodulate", modem.demodulate, decoded, self.constellation)

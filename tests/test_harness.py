@@ -105,7 +105,6 @@ class TestPairMaps:
         # transmit order: symbol by symbol, both REs of a pair in one symbol
         assert np.all(np.diff(engine.re0 % dims.n_symbols) >= 0)
         assert np.array_equal(engine.re0 % dims.n_symbols, engine.re1 % dims.n_symbols)
-        assert np.array_equal(engine.re0, engine.k0 * dims.n_symbols + engine.l)
         assert engine.symbols_per_subframe == int(data.sum())
 
 
