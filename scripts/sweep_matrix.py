@@ -16,6 +16,7 @@ checkouts that must not change an output byte print identical lines:
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +27,8 @@ def main(argv=None) -> int:
     parser.add_argument("src_dir", type=Path, help="the src directory of a checkout")
     parser.add_argument("--jobs", type=int, default=1, help="run_sweep n_jobs (default 1)")
     args = parser.parse_args(argv)
+    if not (args.src_dir / "sfbcsim").is_dir():
+        parser.error(f"{args.src_dir} holds no sfbcsim package")
 
     sys.path.insert(0, str(args.src_dir.resolve()))
     import sfbcsim
@@ -37,14 +40,13 @@ def main(argv=None) -> int:
         csv = Path(tmp) / "sweep.csv"
         for preset in sorted((package / "presets").glob("*.cfg")):
             base = sfbcsim.load_config(preset)
-            for qam in (4, 16, 64):
-                for pairing in ("adjacent", "mirror"):
-                    for csi in ("perfect", "estimated"):
-                        config = dataclasses.replace(base, modulation=qam, pairing=pairing,
-                                                     csi=csi, seed=1)
-                        sfbcsim.emit_csv(sfbcsim.run_sweep(config, n_jobs=args.jobs), csv)
-                        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-                        print(preset.stem, qam, pairing, csi, digest, flush=True)
+            for qam, pairing, csi in itertools.product((4, 16, 64), ("adjacent", "mirror"),
+                                                       ("perfect", "estimated")):
+                config = dataclasses.replace(base, modulation=qam, pairing=pairing,
+                                             csi=csi, seed=1)
+                sfbcsim.emit_csv(sfbcsim.run_sweep(config, n_jobs=args.jobs), csv)
+                digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+                print(preset.stem, qam, pairing, csi, digest, flush=True)
     return 0
 
 
