@@ -12,7 +12,12 @@ import numpy as np
 
 from sfbcsim import channel, modem, pilots, sfbc
 from sfbcsim.grid import ofdm_demodulate, ofdm_modulate, zero_pad
-from sfbcsim.harness import ANTENNA_AMPLITUDE, derive_seed
+from sfbcsim.harness import ANTENNA_AMPLITUDE
+
+
+def derive_seed(master_seed: int, *key: int) -> int:
+    """The documented splitting rule, taken from numpy's SeedSequence itself."""
+    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def run_trial(cfg, snr_db, trial_seed: int) -> tuple[int, int]:
