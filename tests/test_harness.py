@@ -225,12 +225,14 @@ class TestRunTrial:
 
 
 class TestRunSweep:
-    def test_single_point_matches_manual_aggregation(self):
-        cfg = make_config(snr_db=(2.0,))
+    # master seeds of one, two, three and five 32-bit words
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**130 + 1])
+    def test_single_point_matches_manual_aggregation(self, seed):
+        cfg = make_config(snr_db=(2.0,), seed=seed)
         [record] = run_sweep(cfg)
         total = errors = 0
-        for t in range(record.n_trials):
-            bits, errs = run_trial(cfg, 2.0, derive_seed(cfg.seed, 1, 0, t))
+        for t in range(record.n_trials):  # trial seeds from numpy's SeedSequence
+            bits, errs = run_trial(cfg, 2.0, trial_oracle.derive_seed(seed, 1, 0, t))
             total += bits
             errors += errs
         assert (total, errors) == (record.total_bits, record.bit_errors)
