@@ -162,17 +162,19 @@ def _corr_sqrt(rho: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def _jakes_process(rngs: list[np.random.Generator], shape: tuple[int, ...],
+def _jakes_process(angles: np.ndarray, shape: tuple[int, ...],
                    f_d: float, times: np.ndarray) -> np.ndarray:
     """Unit-power complex scatter with a Jakes spectrum at max Doppler f_d.
 
-    Sum-of-sinusoids construction; `shape` indexes independent processes and
-    the returned array has shape `(len(rngs),) + shape + (len(times),)`, one
-    stack item drawn from each generator.
+    Sum-of-sinusoids construction; `shape` indexes independent processes.
+    Each row of `angles` holds one stack item's uniform phases: every
+    process's theta, then every phi, then every psi.  The returned array has
+    shape `(len(angles),) + shape + (len(times),)`.
     """
-    n = _N_SINUSOIDS
-    theta, phi, psi = (np.stack([rng.uniform(-np.pi, np.pi, size=shape + tail) for rng in rngs])
-                       for tail in ((1,), (n, 1), (n, 1)))
+    n, size = _N_SINUSOIDS, math.prod(shape)
+    theta, phi, psi = np.split(angles, [size, size * (n + 1)], axis=-1)
+    theta = theta.reshape((-1,) + shape + (1,))
+    phi, psi = (a.reshape((-1,) + shape + (n, 1)) for a in (phi, psi))
     alpha = (2 * np.pi * np.arange(1, n + 1) - np.pi + theta) / (4 * n)
     omega = 2 * np.pi * f_d * times  # (n_t,)
     arg_i = omega * np.cos(alpha)[..., None] + phi
@@ -198,8 +200,8 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     subcarriers through the delay-response sum H(f) = sum_i g_i e^{-j2πfτ_i}.
     A caller drawing many realizations passes ``phase_ramp(env, dims)`` as
     `ramp`, computed once.  The AwgnOnly environment is the identity channel.
-    A sequence of seeds stacks one realization per seed on a leading axis,
-    each drawn from its own generator exactly as if alone.
+    A sequence of seeds (or Generators) stacks one realization per seed on a
+    leading axis, each drawn from its own generator exactly as if alone.
     """
     if np.ndim(seed) == 0:
         return ChannelRealization(realize_channel(env, fading, dims, [seed], ramp).h[0], seed)
@@ -209,23 +211,25 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
         h[:, [0, 1], [0, 1]] = 1.0
         return ChannelRealization(h, seed)
 
-    rngs = [np.random.default_rng(s) for s in seed]
     n_taps = len(env.delays_s)
     symbol_duration = (dims.fft_size + dims.cp_len) / dims.sample_rate_hz
     times = np.arange(n_sym) * symbol_duration
     f_d = fading.max_doppler_hz
+    k = fading.k_factor
 
-    scatter = _jakes_process(rngs, (2, 2, n_taps), f_d, times)  # (seeds, 2, 2, taps, t)
+    # per generator, one call: the Jakes phases, then (K > 0) the line-of-sight
+    # phase and its angle of arrival; uniform maps each double alike, however split
+    n_jakes = 4 * n_taps * (1 + 2 * _N_SINUSOIDS)
+    angles = np.stack([np.random.default_rng(s).uniform(-np.pi, np.pi, n_jakes + 2 * (k > 0))
+                       for s in seed])
+    scatter = _jakes_process(angles[:, :n_jakes], (2, 2, n_taps), f_d, times)
     r_tx = _corr_sqrt(fading.tx_corr)
     r_rx = _corr_sqrt(fading.rx_corr)
-    scatter = np.einsum("ma,...abit,nb->...mnit", r_tx, scatter, r_rx)
+    scatter = np.einsum("ma,...abit,nb->...mnit", r_tx, scatter, r_rx)  # (seeds, 2, 2, taps, t)
 
-    k = fading.k_factor
     if k > 0:
-        # per generator: the line-of-sight phase, then its angle of arrival
-        los = np.array([(rng.uniform(-np.pi, np.pi), math.cos(rng.uniform(-np.pi, np.pi)))
-                        for rng in rngs])
-        los = np.exp(1j * (2 * np.pi * f_d * los[:, 1:] * times + los[:, :1]))[:, None, None, :]
+        cos_aoa = np.array([math.cos(a) for a in angles[:, -1]])[:, None]  # libm, as recorded
+        los = np.exp(1j * (2 * np.pi * f_d * cos_aoa * times + angles[:, -2:-1]))[:, None, None]
         scatter[..., 0, :] = (math.sqrt(k / (k + 1.0)) * los
                               + math.sqrt(1.0 / (k + 1.0)) * scatter[..., 0, :])
 

@@ -21,7 +21,12 @@ Seed splitting is bit-exact and reproducible:
 * trial seed (i, t)    = SeedSequence(master, spawn_key=(1, i, t)) -> first uint64
   where i indexes the ascending-sorted SNR list and t the trial
 * inside a trial, the bit/channel/noise streams use
-  SeedSequence(trial_seed, spawn_key=(j,)) for j = 0, 1, 2
+  default_rng(SeedSequence(trial_seed, spawn_key=(j,)) -> first uint64), j = 0, 1, 2
+
+`seed_sequence_state` computes SeedSequence's hash in uint32 array arithmetic
+on many lanes at once.  A share derives its trial seeds, their stream seeds
+and each stream's PCG64 seed words in one pass per block of up to 64 trials
+of every open point, and builds each trial's generators from those words.
 
 run_sweep deals the points out in interleaved shares (k, k + w, k + 2w, ...)
 to w processes: the calling one, and w - 1 children made with os.fork that
@@ -72,10 +77,73 @@ class SimulationError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's running hash constants c_0..c_n, c_k = init * mult**k, as a column."""
+    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(n + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, row r of the result under constants c_r and c_r+1."""
+    value = (value ^ consts[:-1]) * consts[1:]  # uint32 arrays wrap
+    return value ^ value >> np.uint32(16)
+
+
+def seed_sequence_state(entropy, keys=(), n_words: int = 1) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=key).generate_state(n_words, np.uint64) per lane,
+    in numpy's uint32 hash arithmetic: `entropy` is one int of any size or a uint64
+    array, `keys` one spawn key or many on leading axes, with entries below 2**32."""
+    keys = np.asarray(keys, dtype=np.uint32)
+    if np.ndim(entropy) == 0:
+        if (e := operator.index(entropy)) < 0:
+            raise ValueError(f"entropy must be non-negative, got {e}")
+        words = [np.uint32(e >> s & 0xFFFFFFFF) for s in range(0, max(e.bit_length(), 1), 32)]
+    else:
+        e = np.asarray(entropy, dtype=np.uint64)
+        words = [(e & 0xFFFFFFFF).astype(np.uint32), (e >> 32).astype(np.uint32)]
+    lanes = np.broadcast_shapes(np.shape(words[0]), keys.shape[:-1])
+    # the entropy zero-filled to the pool's four words, then the spawn key
+    words += [np.uint32(0)] * (4 - len(words)) + list(np.moveaxis(keys, -1, 0))
+    words = np.stack([np.broadcast_to(w, lanes).reshape(-1) for w in words])
+
+    def mix(x, y):
+        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return result ^ result >> np.uint32(16)
+
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words))
+    pool = _hashmix(words[:4], consts[:5])
+    for src in range(4):  # each pool word into the other three
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = mix(pool[others], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
+    for w, c in zip(words[4:], range(16, len(consts), 4)):  # each further word into all four
+        pool = mix(pool, _hashmix(w, consts[c:c + 5]))
+    out = _hashmix(pool[np.arange(2 * n_words) % 4],
+                   _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * n_words)).astype(np.uint64)
+    state = (out[0::2] | out[1::2] << np.uint64(32)).T.reshape(lanes + (n_words,))
+    return np.ascontiguousarray(state)  # PCG64 reads a row's memory as its seed words
+
+
 def derive_seed(master_seed: int, *key: int) -> int:
     """The documented splitting rule: first uint64 of a spawned SeedSequence."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_sequence_state(master_seed, key)[0])
+
+
+def trial_states(trial_seeds) -> np.ndarray:
+    """Each trial's bit, channel and noise generator states, shape (..., 3, 4):
+    the PCG64 seed words of default_rng(derive_seed(trial_seed, j)), j = 0, 1, 2."""
+    streams = seed_sequence_state(np.asarray(trial_seeds, dtype=np.uint64)[..., None],
+                                  np.arange(3)[:, None])
+    return seed_sequence_state(streams[..., 0], n_words=4)
+
+
+@dataclass
+class _StoredState(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 its four seed words, computed beforehand, as a SeedSequence would."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -141,14 +209,13 @@ class ScenarioConfig:
                                  self.tx_corr, self.rx_corr)
 
     def bits_per_trial(self) -> int:
-        engine = _engine(self)
-        return engine.bits_per_subframe
+        return _engine(self).bits_per_subframe
 
-    def effective_max_bits(self) -> int:
+    def effective_max_bits(self, bits_per_trial: int | None = None) -> int:
         if self.max_bits is not None:
             return self.max_bits
         # default sample budget: the configured number of frames of payload
-        return max(self.n_frames * 10 * self.bits_per_trial(), self.min_bits)
+        return max(self.n_frames * 10 * (bits_per_trial or self.bits_per_trial()), self.min_bits)
 
     def metadata(self) -> dict:
         """Every field plus the resolved tap table, which env_file alone does not fix."""
@@ -213,16 +280,17 @@ class _TrialEngine:
         sum_link_energy = 2.0 if self.env.name == "awgn_only" else 4.0
         self.reference_power = ANTENNA_AMPLITUDE ** 2 * sum_link_energy / 2.0
 
-    def run(self, snr_db: Sequence[float | None],
-            trial_seeds: Sequence[int]) -> list[tuple[int, int]]:
+    def run(self, snr_db: Sequence[float | None], states: np.ndarray) -> list[tuple[int, int]]:
         """(bits_sent, bit_errors) per trial of a stack: trial b runs at snr_db[b]
-        from trial_seeds[b], and every stage but bit generation once per stack."""
-        cfg, dims, n = self.config, self.dims, len(trial_seeds)
-        bit_seeds, channel_seeds, noise_seeds = zip(
-            *[[derive_seed(s, j) for j in range(3)] for s in trial_seeds])
+        with the generator states states[b] (see `trial_states`), and every
+        stage but bit generation once per stack."""
+        cfg, dims, n = self.config, self.dims, len(states)
+        bit_rngs, channel_rngs, noise_rngs = zip(
+            *[[np.random.Generator(np.random.PCG64(_StoredState(w))) for w in row]
+              for row in states])
 
         bits = np.stack([_stage("generate_bits", modem.generate_bits,
-                                self.bits_per_subframe, s) for s in bit_seeds])
+                                self.bits_per_subframe, rng) for rng in bit_rngs])
         symbols = _stage("modulate", modem.modulate, bits, self.constellation)
 
         tx = np.zeros((n, 2, dims.n_subcarriers * dims.n_symbols), dtype=np.complex128)
@@ -234,11 +302,11 @@ class _TrialEngine:
 
         # no OFDM round trip: the channel acts on the grid (see the module docstring)
         realization = _stage("realize_channel", chan.realize_channel,
-                             self.env, self.fading, dims, channel_seeds, self.phase_ramp)
+                             self.env, self.fading, dims, channel_rngs, self.phase_ramp)
         received = _stage("apply_channel", chan.apply_channel, tx, realization)
         del tx  # the transmit side is done: keep one stack of grids alive
         received = _stage("add_awgn", chan.add_awgn, received, snr_db,
-                          self.reference_power, noise_seeds)
+                          self.reference_power, noise_rngs)
 
         # channel taken at the pair's first RE, assumed constant across the pair
         if cfg.csi == "perfect":
@@ -271,7 +339,7 @@ def _engine(config: ScenarioConfig) -> _TrialEngine:
     return _cached_engine(config, config.build_environment())
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)  # the 4-environment x 3-order matrix cycles through 12
 def _cached_engine(config: ScenarioConfig, env: chan.RadioEnvironment) -> _TrialEngine:
     return _TrialEngine(config, env)
 
@@ -283,36 +351,43 @@ def run_trial(config: ScenarioConfig, snr_db: float | None,
     Deterministic in (config, snr_db, trial_seed); snr_db may be None or
     +inf to bypass the noise stage.  A stack of one trial.
     """
-    return _engine(config).run([snr_db], [trial_seed])[0]
+    return _engine(config).run([snr_db], trial_states([trial_seed]))[0]
 
 
 def _run_stack(engine: _TrialEngine, snr_db: list[float],
-               seeds: list[int]) -> list[tuple[int, int] | SimulationError]:
+               states: np.ndarray) -> list[tuple[int, int] | SimulationError]:
     """Each trial's result, or the error that failed it alone."""
     try:
-        return engine.run(snr_db, seeds)
+        return engine.run(snr_db, states)
     except SimulationError as exc:
-        if len(seeds) == 1:
+        if len(states) == 1:
             return [exc]
     # one failing trial must not fail the rest: rerun them one at a time
-    return [_run_stack(engine, [snr], [seed])[0] for snr, seed in zip(snr_db, seeds)]
+    return [_run_stack(engine, [snr], states[b:b + 1])[0] for b, snr in enumerate(snr_db)]
 
 
 def _run_points(config: ScenarioConfig, indices: Sequence[int]) -> list[dict]:
     """The point dicts of the ascending-SNR points `indices`, run as one wavefront."""
     engine = _engine(config)
-    max_bits = config.effective_max_bits()
+    max_bits = config.effective_max_bits(engine.bits_per_subframe)
     width = max(1, _STACK_RES // (engine.dims.n_subcarriers * engine.dims.n_symbols))
+    # trials seeded per pass: no more than a point can run, and at most 64
+    block = min(64, -(-max_bits // engine.bits_per_subframe))
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
     points = {i: dict(snr_db=float(config.snr_db[order[i]]), total_bits=0, bit_errors=0,
                       n_trials=0, wall_time=0.0, error=None) for i in indices}
     open_points, t = list(points), 0
     while open_points:
+        if t % block == 0:  # the next block's generator states of every open point
+            keys = np.stack(np.broadcast_arrays(_TRIAL_STREAM, np.array(open_points)[:, None],
+                                                np.arange(t, t + block)), axis=-1)
+            table = dict(zip(open_points,
+                             trial_states(seed_sequence_state(config.seed, keys)[..., 0])))
         for lo in range(0, len(open_points), width):
             stack = open_points[lo:lo + width]
             start = time.perf_counter()
             results = _run_stack(engine, [points[i]["snr_db"] for i in stack],
-                                 [derive_seed(config.seed, _TRIAL_STREAM, i, t) for i in stack])
+                                 np.stack([table[i][t % block] for i in stack]))
             share = (time.perf_counter() - start) / len(stack)
             for i, result in zip(stack, results):
                 p = points[i]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import trial_oracle
 from sfbcsim.channel import ENVIRONMENT_NAMES
 from sfbcsim.grid import RB_BANDWIDTH_MHZ
-from sfbcsim.harness import ScenarioConfig, derive_seed, run_sweep, run_trial
+from sfbcsim.harness import (ScenarioConfig, derive_seed, run_sweep, run_trial,
+                             seed_sequence_state, trial_states)
 from sfbcsim.pilots import PilotPattern
 
 
@@ -152,8 +153,61 @@ class TestStageCounts:
             monkeypatch.setattr(h, name, counted)
         for t in range(3):
             run_trial(cfg, 10.0, t)
-        h._engine(cfg).run([10.0, None, 3.0], [3, 4, 5])
+        h._engine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
         assert calls == dict.fromkeys(calls, 0)
+
+
+def numpy_state(entropy, key, n_words):
+    return np.random.SeedSequence(entropy, spawn_key=key).generate_state(n_words, np.uint64)
+
+
+class TestSeedSplitting:
+    """The vectorised splitting rule against numpy's SeedSequence, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(entropy=st.integers(0, 2**200), key_len=st.integers(0, 3), data=st.data())
+    def test_matches_seed_sequence(self, entropy, key_len, data):
+        keys = data.draw(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=key_len,
+                                           max_size=key_len), min_size=1, max_size=64))
+        for n_words in (1, 4):  # a first uint64 and a PCG64 state
+            got = seed_sequence_state(entropy, np.array(keys, dtype=np.uint32).reshape(
+                len(keys), key_len), n_words)
+            assert np.array_equal(got, [numpy_state(entropy, tuple(k), n_words) for k in keys])
+
+    @settings(max_examples=30, deadline=None)
+    @given(entropies=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+           key=st.lists(st.integers(0, 2**32 - 1), max_size=3))
+    def test_uint64_lanes_match_seed_sequence(self, entropies, key):
+        for n_words in (1, 4):
+            got = seed_sequence_state(np.array(entropies, dtype=np.uint64), key, n_words)
+            assert np.array_equal(got, [numpy_state(e, tuple(key), n_words) for e in entropies])
+
+    @pytest.mark.parametrize("entropy", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("key", [(), (0,), (2,), (1, 0, 39), (1, 5, 2**32 - 1)])
+    def test_edge_words(self, entropy, key):
+        assert derive_seed(entropy, *key) == numpy_state(entropy, key, 1)[0]
+        assert np.array_equal(seed_sequence_state(entropy, key, 4), numpy_state(entropy, key, 4))
+
+    def test_trial_states_seed_the_default_generators(self):
+        import sfbcsim.harness as h
+
+        seeds = [0, 2**32, 2**64 - 1, derive_seed(1, 1, 0, 3)]
+        states = trial_states(seeds)
+        assert states.shape == (4, 3, 4) and states.dtype == np.uint64
+        # a single trial's rows too: PCG64 reads each row's memory as it lies
+        for seed, row in [*zip(seeds, states), (5, trial_states([5])[0])]:
+            for j, words in enumerate(row):
+                ours = np.random.Generator(np.random.PCG64(h._StoredState(words)))
+                theirs = np.random.default_rng(derive_seed(seed, j))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert np.array_equal(ours.standard_normal(8), theirs.standard_normal(8))
+                assert np.array_equal(ours.integers(0, 2, 64), theirs.integers(0, 2, 64))
+
+    def test_keys_beyond_one_word_rejected(self):
+        with pytest.raises(OverflowError):
+            seed_sequence_state(1, [2**32])
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0)
 
 
 configs = st.builds(
@@ -180,7 +234,7 @@ class TestAgainstTrialOracle:
         import sfbcsim.harness as h
 
         snr_db, seeds = zip(*trials)
-        assert h._engine(cfg).run(snr_db, seeds) == \
+        assert h._engine(cfg).run(snr_db, trial_states(seeds)) == \
             [trial_oracle.run_trial(cfg, snr, seed) for snr, seed in trials]
 
 
@@ -279,10 +333,10 @@ class TestRunSweep:
         log = tmp_path / "stacks.txt"
         original = h._TrialEngine.run
 
-        def counted(self, snr_db, trial_seeds):
+        def counted(self, snr_db, states):
             with open(log, "a") as f:
-                f.write(f"{len(trial_seeds)}\n")
-            return original(self, snr_db, trial_seeds)
+                f.write(f"{len(states)}\n")
+            return original(self, snr_db, states)
 
         monkeypatch.setattr(h._TrialEngine, "run", counted)
         # 12,000 bits take 7 trials of 1,824 bits: an odd count per point
@@ -299,10 +353,10 @@ class TestRunSweep:
         calls = dict.fromkeys(("run", "trials", "generate_bits", "sfbc_encode"), 0)
         original_run = h._TrialEngine.run
 
-        def counted_run(self, snr_db, trial_seeds):
+        def counted_run(self, snr_db, states):
             calls["run"] += 1
-            calls["trials"] += len(trial_seeds)
-            return original_run(self, snr_db, trial_seeds)
+            calls["trials"] += len(states)
+            return original_run(self, snr_db, states)
 
         monkeypatch.setattr(h._TrialEngine, "run", counted_run)
         for module, name in ((modem, "generate_bits"), (sfbc, "sfbc_encode")):
@@ -356,7 +410,7 @@ class TestRunSweep:
 
         parent, original = os.getpid(), h._TrialEngine.run
 
-        def broken(self, snr_db, trial_seeds):
+        def broken(self, snr_db, states):
             in_child = os.getpid() != parent
             if fault == "child exits" and in_child:
                 os._exit(7)
@@ -364,7 +418,7 @@ class TestRunSweep:
                 time.sleep(30)  # only a kill ends this share in time
             if in_child == fault.startswith("child"):
                 raise ValueError("boom")
-            return original(self, snr_db, trial_seeds)
+            return original(self, snr_db, states)
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
         h._engine(cfg)
@@ -400,12 +454,13 @@ class TestRunSweep:
         engine = h._engine(cfg)
         original = type(engine).run
         clean = run_sweep(cfg)
-        failing = derive_seed(cfg.seed, 1, 0, 3)  # the 0 dB point's fourth trial
+        # the 0 dB point's fourth trial, spotted by its generator states
+        failing = trial_states(derive_seed(cfg.seed, 1, 0, 3))
 
-        def flaky(self, snr_db, trial_seeds):
-            if failing in trial_seeds:
+        def flaky(self, snr_db, states):
+            if any(np.array_equal(row, failing) for row in states):
                 raise h.SimulationError("stage 'add_awgn' failed: boom")
-            return original(self, snr_db, trial_seeds)
+            return original(self, snr_db, states)
 
         monkeypatch.setattr(type(engine), "run", flaky)
         records = run_sweep(cfg)
@@ -422,12 +477,12 @@ class TestRunSweep:
         original = type(engine).run
         clean = run_sweep(cfg)
         # the 6 dB point's fourth trial: the second share, run by a child at n_jobs=2
-        failing = derive_seed(cfg.seed, 1, 1, 3)
+        failing = trial_states(derive_seed(cfg.seed, 1, 1, 3))
 
-        def flaky(self, snr_db, trial_seeds):
-            if failing in trial_seeds:
+        def flaky(self, snr_db, states):
+            if any(np.array_equal(row, failing) for row in states):
                 raise h.SimulationError("stage 'add_awgn' failed: boom")
-            return original(self, snr_db, trial_seeds)
+            return original(self, snr_db, states)
 
         monkeypatch.setattr(type(engine), "run", flaky)
         records = run_sweep(cfg, n_jobs=2)
