@@ -117,10 +117,12 @@ def seed_sequence_state(entropy, keys=(), n_words: int = 1) -> np.ndarray:
         pool[others] = mix(pool[others], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
     for w, c in zip(words[4:], range(16, len(consts), 4)):  # each further word into all four
         pool = mix(pool, _hashmix(w, consts[c:c + 5]))
-    out = _hashmix(pool[np.arange(2 * n_words) % 4],
-                   _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * n_words)).astype(np.uint64)
-    state = (out[0::2] | out[1::2] << np.uint64(32)).T.reshape(lanes + (n_words,))
-    return np.ascontiguousarray(state)  # PCG64 reads a row's memory as its seed words
+    consts = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * n_words)
+    out = _hashmix(pool[np.arange(2 * n_words) % 4], consts).T  # (lanes, 2 * n_words)
+    # word pairs read as little-endian uint64, as generate_state does; each row
+    # contiguous, since PCG64 reads a row's memory as its seed words
+    state = np.ascontiguousarray(out).astype("<u4", copy=False).view("<u8")
+    return state.astype(np.uint64, copy=False).reshape(lanes + (n_words,))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -136,11 +138,11 @@ def trial_states(trial_seeds) -> np.ndarray:
     return seed_sequence_state(streams[..., 0], n_words=4)
 
 
-@dataclass
 class _StoredState(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 its four seed words, computed beforehand, as a SeedSequence would."""
 
-    words: np.ndarray
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
