@@ -49,6 +49,39 @@ class TestConstellation:
             QamConstellation(8)
 
 
+def gray_amplitude(bits):
+    """The reflected Gray map one axis label at a time: (b0, b2) -> (1-2*b0) * (2 - (1-2*b2))."""
+    if len(bits) == 1:
+        return 1 - 2 * bits[0]
+    return (1 - 2 * bits[0]) * (2 ** (len(bits) - 1) - gray_amplitude(bits[1:]))
+
+
+class TestConstellationTables:
+    """The tables bit for bit (signs of zero included) against a per-label construction."""
+
+    def test_tables_match_per_label_construction(self, constellation):
+        order, k = constellation.order, constellation.bits_per_symbol
+        m_axis = k // 2
+        scale = np.sqrt(2.0 * (order - 1) / 3.0)
+        points = np.empty(order, dtype=np.complex128)
+        for label in range(order):
+            bits = [(label >> (k - 1 - i)) & 1 for i in range(k)]
+            points[label] = (gray_amplitude(bits[0::2]) + 1j * gray_amplitude(bits[1::2])) / scale
+        levels = np.array([gray_amplitude([(g >> (m_axis - 1 - i)) & 1 for i in range(m_axis)])
+                           for g in range(2 ** m_axis)], dtype=np.float64) / scale
+        pair_bits = np.empty((order, k), dtype=np.uint8)
+        i_lab, q_lab = np.divmod(np.arange(order), 2 ** m_axis)
+        for b in range(m_axis):
+            pair_bits[:, 2 * b] = (i_lab >> (m_axis - 1 - b)) & 1
+            pair_bits[:, 2 * b + 1] = (q_lab >> (m_axis - 1 - b)) & 1
+        for ours, theirs in ((constellation.points, points),
+                             (constellation._axis_levels, levels)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+        assert constellation._pair_bits.dtype == np.uint8
+        assert np.array_equal(constellation._pair_bits, pair_bits)
+
+
 class TestGenerateBits:
     def test_deterministic(self):
         assert np.array_equal(generate_bits(8, seed=1), generate_bits(8, seed=1))
