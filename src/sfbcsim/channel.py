@@ -148,11 +148,10 @@ class FadingConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-link complex gains, shape (2 tx, 2 rx, n_subcarriers, n_symbols), and
-    the seed; a stack of realizations has a leading axis and a seed per item."""
+    """Per-link complex gains, shape (2 tx, 2 rx, n_subcarriers, n_symbols);
+    a stack of realizations has a leading axis."""
 
     h: np.ndarray
-    seed: int | tuple[int, ...] | list[int]
 
 
 def _corr_sqrt(rho: float) -> np.ndarray:
@@ -204,12 +203,12 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     leading axis, each drawn from its own generator exactly as if alone.
     """
     if np.ndim(seed) == 0:
-        return ChannelRealization(realize_channel(env, fading, dims, [seed], ramp).h[0], seed)
+        return ChannelRealization(realize_channel(env, fading, dims, [seed], ramp).h[0])
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
     if env.name == "awgn_only":
         h = np.zeros((len(seed), 2, 2, n_sc, n_sym), dtype=np.complex128)
         h[:, [0, 1], [0, 1]] = 1.0
-        return ChannelRealization(h, seed)
+        return ChannelRealization(h)
 
     n_taps = len(env.delays_s)
     symbol_duration = (dims.fft_size + dims.cp_len) / dims.sample_rate_hz
@@ -235,7 +234,7 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
 
     taps = scatter * np.sqrt(env.powers_linear)[:, None]
     ramp = phase_ramp(env, dims) if ramp is None else ramp
-    return ChannelRealization(ramp @ taps, seed)  # (seeds, 2, 2, k, t)
+    return ChannelRealization(ramp @ taps)  # (seeds, 2, 2, k, t)
 
 
 def apply_channel(tx_grids: np.ndarray, realization: ChannelRealization) -> np.ndarray:

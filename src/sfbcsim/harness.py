@@ -12,8 +12,10 @@ noise variance equals the ensemble-average received data-RE power divided
 by the linear SNR.  That average is analytic (tap powers and the Rician
 split are normalized so every link has unit mean energy), so the noise
 level is a fixed function of the configuration and never tracks individual
-fades.  An engine holds the per-config work: the SFBC pairs as flat
-resource-element indices, the pilot plan and the channel's phase ramp.
+fades.  The per-grid work is cached once per grid dimensions, tap table,
+pairing and seed, whatever the QAM order or CSI mode: the pilot plan, the
+channel's phase ramp and the SFBC pairs as flat resource-element indices.
+A sweep's engine adds its config's constellation, fading and bit budget.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -30,7 +32,7 @@ of every open point, and builds each trial's generators from those words.
 
 run_sweep deals the points out in interleaved shares (k, k + w, k + 2w, ...)
 to w processes: the calling one, and w - 1 children made with os.fork that
-inherit the built engine and send their points back pickled over a pipe.
+inherit the sweep's engine and send their points back pickled over a pipe.
 A trial's seed depends on (i, t) alone, so no output byte depends on w.
 Each share runs as a wavefront: step t runs trial t of every point still
 open, in stacks of at most _STACK_RES resource elements (four 6-RB trials,
@@ -175,6 +177,8 @@ class ScenarioConfig:
         if self.modulation not in modem.QAM_ORDERS:
             raise ValueError(f"modulation must be one of {modem.QAM_ORDERS}, "
                              f"got {self.modulation}")
+        # stored as a tuple, in the order given: hashable, and hashed as the tuple form
+        object.__setattr__(self, "snr_db", tuple(self.snr_db))
         if not self.snr_db:
             raise ValueError("snr_db list must not be empty")
         if any(not math.isfinite(s) for s in self.snr_db):
@@ -211,13 +215,10 @@ class ScenarioConfig:
                                  self.tx_corr, self.rx_corr)
 
     def bits_per_trial(self) -> int:
-        return _engine(self).bits_per_subframe
+        return _TrialEngine(self).bits_per_subframe
 
-    def effective_max_bits(self, bits_per_trial: int | None = None) -> int:
-        if self.max_bits is not None:
-            return self.max_bits
-        # default sample budget: the configured number of frames of payload
-        return max(self.n_frames * 10 * (bits_per_trial or self.bits_per_trial()), self.min_bits)
+    def effective_max_bits(self) -> int:
+        return _TrialEngine(self).max_bits
 
     def metadata(self) -> dict:
         """Every field plus the resolved tap table, which env_file alone does not fix."""
@@ -250,32 +251,44 @@ class BerRecord:
     error: str | None = None
 
 
-class _TrialEngine:
-    """Precomputed per-config machinery shared by all trials."""
+@lru_cache(maxsize=16)  # the 84-sweep matrix cycles through 12 grids, a benchmark workload 4
+def _layout(dims: GridDimensions, env: chan.RadioEnvironment, pairing: str,
+            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray]:
+    """One grid's pilot plan, phase ramp and SFBC pairs as flat RE indices,
+    shared by every QAM order and CSI mode; keyed on the tap table too, so a
+    rewritten env_file gets its own."""
+    pattern = pilots.PilotPattern(dims.n_subcarriers, dims.n_symbols)
+    # every SFBC pair of the subframe in transmit order: its two absolute
+    # data subcarriers and its OFDM symbol
+    pairs = []
+    for l in range(dims.n_symbols):
+        dk = pattern.data_subcarriers(l)
+        i0, i1 = sfbc.pair_indices(dk.size, pairing)
+        pairs.append((dk[i0], dk[i1], np.full(i0.size, l)))
+    k0, k1, l = (np.concatenate(a) for a in zip(*pairs))
+    # flat RE indices k * n_symbols + l: the pairs' first REs, then their second
+    res = np.concatenate([k0, k1]) * dims.n_symbols + np.tile(l, 2)
+    return (pilots.PilotPlan(pattern, derive_seed(seed, _PILOT_STREAM)),
+            chan.phase_ramp(env, dims), res)
 
-    def __init__(self, config: ScenarioConfig, env: chan.RadioEnvironment):
+
+class _TrialEngine:
+    """One config's machinery, built once per sweep and shared by all its trials."""
+
+    def __init__(self, config: ScenarioConfig):
         self.config = config
         self.dims = config.dims()
-        self.env = env
+        self.env = config.build_environment()
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
-        self.pattern = pilots.PilotPattern(self.dims.n_subcarriers, self.dims.n_symbols)
-        self.pilot_plan = pilots.PilotPlan(self.pattern, derive_seed(config.seed, _PILOT_STREAM))
-        self.phase_ramp = chan.phase_ramp(env, self.dims)
-
-        # every SFBC pair of the subframe in transmit order: its two absolute
-        # data subcarriers and its OFDM symbol
-        pairs = []
-        for l in range(self.dims.n_symbols):
-            dk = self.pattern.data_subcarriers(l)
-            i0, i1 = sfbc.pair_indices(dk.size, config.pairing)
-            pairs.append((dk[i0], dk[i1], np.full(i0.size, l)))
-        k0, k1, l = (np.concatenate(a) for a in zip(*pairs))
-        # flat RE indices k * n_symbols + l: the pairs' first REs, then their second
-        self.res = np.concatenate([k0, k1]) * self.dims.n_symbols + np.tile(l, 2)
+        self.pilot_plan, self.phase_ramp, self.res = _layout(self.dims, self.env,
+                                                             config.pairing, config.seed)
         self.re0, self.re1 = np.split(self.res, 2)
         self.symbols_per_subframe = self.res.size
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
+        # default sample budget: the configured number of frames of payload
+        self.max_bits = (config.max_bits if config.max_bits is not None
+                         else max(config.n_frames * 10 * self.bits_per_subframe, config.min_bits))
 
         # ensemble-average received data-RE power: each fading link has unit
         # mean energy (identity channel: one unit link per receive antenna)
@@ -336,16 +349,6 @@ def _stage(name, fn, *args, **kwargs):
         raise SimulationError(f"stage '{name}' failed: {exc}") from exc
 
 
-def _engine(config: ScenarioConfig) -> _TrialEngine:
-    # keyed on the tap table too: an env_file may change between calls
-    return _cached_engine(config, config.build_environment())
-
-
-@lru_cache(maxsize=16)  # the 4-environment x 3-order matrix cycles through 12
-def _cached_engine(config: ScenarioConfig, env: chan.RadioEnvironment) -> _TrialEngine:
-    return _TrialEngine(config, env)
-
-
 def run_trial(config: ScenarioConfig, snr_db: float | None,
               trial_seed: int) -> tuple[int, int]:
     """One subframe through the full chain; returns (bits_sent, bit_errors).
@@ -353,7 +356,7 @@ def run_trial(config: ScenarioConfig, snr_db: float | None,
     Deterministic in (config, snr_db, trial_seed); snr_db may be None or
     +inf to bypass the noise stage.  A stack of one trial.
     """
-    return _engine(config).run([snr_db], trial_states([trial_seed]))[0]
+    return _TrialEngine(config).run([snr_db], trial_states([trial_seed]))[0]
 
 
 def _run_stack(engine: _TrialEngine, snr_db: list[float],
@@ -368,10 +371,9 @@ def _run_stack(engine: _TrialEngine, snr_db: list[float],
     return [_run_stack(engine, [snr], states[b:b + 1])[0] for b, snr in enumerate(snr_db)]
 
 
-def _run_points(config: ScenarioConfig, indices: Sequence[int]) -> list[dict]:
+def _run_points(engine: _TrialEngine, indices: Sequence[int]) -> list[dict]:
     """The point dicts of the ascending-SNR points `indices`, run as one wavefront."""
-    engine = _engine(config)
-    max_bits = config.effective_max_bits(engine.bits_per_subframe)
+    config, max_bits = engine.config, engine.max_bits
     width = max(1, _STACK_RES // (engine.dims.n_subcarriers * engine.dims.n_symbols))
     # trials seeded per pass: no more than a point can run, and at most 64
     block = min(64, -(-max_bits // engine.bits_per_subframe))
@@ -407,7 +409,7 @@ def _run_points(config: ScenarioConfig, indices: Sequence[int]) -> list[dict]:
     return list(points.values())
 
 
-def _run_share(config: ScenarioConfig, indices: Sequence[int], pipe: BinaryIO) -> NoReturn:
+def _run_share(engine: _TrialEngine, indices: Sequence[int], pipe: BinaryIO) -> NoReturn:
     """A forked child's life: pickle its points, or its error's text, into the pipe.
 
     It leaves only by `os._exit`, so it never returns into the caller,
@@ -415,7 +417,7 @@ def _run_share(config: ScenarioConfig, indices: Sequence[int], pipe: BinaryIO) -
     """
     try:
         try:
-            result = _run_points(config, indices)
+            result = _run_points(engine, indices)
         except Exception as exc:
             result = f"{type(exc).__name__}: {exc}"
         pickle.dump(result, pipe)
@@ -437,7 +439,7 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     """
     if operator.index(n_jobs) < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
-    _engine(config)  # built before any fork, so every share inherits it
+    engine = _TrialEngine(config)  # built before any fork, so every share inherits it
     n = len(config.snr_db)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
@@ -448,9 +450,9 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
             pipes.append(open(read_fd, "rb"))
             with open(write_fd, "wb") as sink:  # the parent's copy closes on leaving
                 if (pid := os.fork()) == 0:
-                    _run_share(config, range(k, n, workers), sink)
+                    _run_share(engine, range(k, n, workers), sink)
             pids.append(pid)
-        points[0::workers] = _run_points(config, range(0, n, workers))
+        points[0::workers] = _run_points(engine, range(0, n, workers))
         payloads = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # here only: a sweep that succeeds imports nothing new

@@ -13,21 +13,15 @@ import numpy as np
 
 QAM_ORDERS = (4, 16, 64)
 
-# amplitude scale so that the mean symbol energy of {+-1, +-3, ...}^2 is 1:
-# mean energy of an unscaled square M-QAM lattice is 2(M-1)/3
-def _energy_scale(order: int) -> float:
-    return float(np.sqrt(2.0 * (order - 1) / 3.0))
 
+def _gray_levels(bits: np.ndarray) -> np.ndarray:
+    """Reflected-Gray amplitude of each row of axis bits (last axis, big-endian).
 
-def _gray_amplitude(bits: tuple[int, ...]) -> int:
-    """Amplitude of one axis for the given axis bits (reflected Gray map).
-
-    One bit maps to {+1,-1}; each further bit refines the magnitude, e.g.
-    (b0, b2) -> (1-2*b0) * (2 - (1-2*b2)) for 16-QAM.
+    The map a(b) = (1-2*b0) * (2**(m-1) - a(b[1:])), with a(b0) = 1-2*b0, unrolled:
+    a(b) = sum_j (-1)**j * 2**(m-1-j) * prod_{i<=j} (1-2*b_i).
     """
-    if len(bits) == 1:
-        return 1 - 2 * bits[0]
-    return (1 - 2 * bits[0]) * (2 ** (len(bits) - 1) - _gray_amplitude(bits[1:]))
+    m = bits.shape[-1]
+    return np.cumprod(1 - 2 * bits, axis=-1) @ [(-1) ** j << (m - 1 - j) for j in range(m)]
 
 
 class QamConstellation:
@@ -41,27 +35,20 @@ class QamConstellation:
         if order not in QAM_ORDERS:
             raise ValueError(f"unsupported QAM order {order}, expected one of {QAM_ORDERS}")
         self.order = order
-        self.bits_per_symbol = order.bit_length() - 1
-        m_axis = self.bits_per_symbol // 2
-        scale = _energy_scale(order)
-        points = np.empty(order, dtype=np.complex128)
-        for label in range(order):
-            bits = [(label >> (self.bits_per_symbol - 1 - i)) & 1
-                    for i in range(self.bits_per_symbol)]
-            i_amp = _gray_amplitude(tuple(bits[0::2]))
-            q_amp = _gray_amplitude(tuple(bits[1::2]))
-            points[label] = (i_amp + 1j * q_amp) / scale
-        self.points = points
+        k = self.bits_per_symbol = order.bit_length() - 1
+        m_axis = k // 2
+        # unit average energy: an unscaled lattice {+-1, +-3, ...}^2 averages 2(M-1)/3
+        scale = float(np.sqrt(2.0 * (order - 1) / 3.0))
+        # each label's big-endian bits, one row per label
+        bits = np.arange(order)[:, None] >> np.arange(k)[::-1] & 1
+        # even-indexed bits give the in-phase amplitude, odd-indexed the quadrature
+        amp = _gray_levels(bits.reshape(order, m_axis, 2).swapaxes(1, 2)) / scale
+        self.points = amp[:, 0] + 1j * amp[:, 1]
         # per-axis levels indexed by the axis bit label, shared by I and Q
-        self._axis_levels = np.array(
-            [_gray_amplitude(tuple((g >> (m_axis - 1 - i)) & 1 for i in range(m_axis)))
-             for g in range(2 ** m_axis)], dtype=np.float64) / scale
+        self._axis_levels = _gray_levels(bits[:2 ** m_axis, m_axis:]) / scale
         # row i * 2**m_axis + q: the bits of in-phase axis label i, quadrature q
-        i_lab, q_lab = np.divmod(np.arange(order), 2 ** m_axis)
-        self._pair_bits = np.empty((order, self.bits_per_symbol), dtype=np.uint8)
-        for b in range(m_axis):
-            self._pair_bits[:, 2 * b] = (i_lab >> (m_axis - 1 - b)) & 1
-            self._pair_bits[:, 2 * b + 1] = (q_lab >> (m_axis - 1 - b)) & 1
+        self._pair_bits = bits.reshape(order, 2, m_axis).swapaxes(1, 2).reshape(order, k) \
+            .astype(np.uint8)
 
     def __repr__(self) -> str:
         return f"QamConstellation(order={self.order})"

@@ -276,7 +276,7 @@ class TestApplyChannel:
         h = real.h.copy()
         h[0, 0] = 2.0
         h[1, 1] = 0.0
-        real = type(real)(h, real.seed)
+        real = type(real)(h)
         x = np.zeros((2, 72, 14), dtype=complex)
         x[0, 10, 3] = 1.0 + 1.0j
         y = apply_channel(x, real)

@@ -69,6 +69,21 @@ class TestScenarioConfig:
         cfg = make_config()
         assert cfg.effective_max_bits() == 4 * 10 * cfg.bits_per_trial()
 
+    def test_max_bits_budget_rule(self):
+        # max_bits if set, else n_frames x 10 subframes, never below min_bits
+        assert make_config(max_bits=30_000).effective_max_bits() == 30_000
+        assert make_config(n_frames=1).effective_max_bits() == 10 * 1824
+        assert make_config(n_frames=1, min_bits=20_000).effective_max_bits() == 20_000
+
+    def test_listed_snrs_match_the_tuple_form(self):
+        listed = make_config(snr_db=[6.0, 0.0], max_bits=12_000)
+        as_tuple = make_config(snr_db=(6.0, 0.0), max_bits=12_000)
+        assert listed == as_tuple and listed.config_hash() == as_tuple.config_hash()
+        strip = [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(listed)]
+        assert strip == [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(as_tuple)]
+        assert run_trial(listed, 6.0, 3) == run_trial(as_tuple, 6.0, 3)
+        assert listed.bits_per_trial() == as_tuple.bits_per_trial()
+
     def test_config_hash_stable_and_sensitive(self):
         a, b = make_config(), make_config()
         assert a.config_hash() == b.config_hash()
@@ -90,7 +105,7 @@ class TestPairMaps:
     def test_pairs_cover_each_data_re_once(self, n_rb, pairing):
         import sfbcsim.harness as h
 
-        engine = h._engine(make_config(n_rb=n_rb, pairing=pairing))
+        engine = h._TrialEngine(make_config(n_rb=n_rb, pairing=pairing))
         dims = engine.dims
         uses = np.zeros((dims.n_subcarriers, dims.n_symbols), dtype=int)
         np.add.at(uses.reshape(-1), engine.re0, 1)  # flat index k * n_symbols + l
@@ -110,7 +125,7 @@ class TestPairMaps:
 
 
 class TestStageCounts:
-    """Per-trial calls of pilot and OFDM functions on an engine that is already built.
+    """Per-trial calls of pilot and OFDM functions once the grid's layout is cached.
 
     Counting wrappers sit at the `sfbcsim.pilots` and `sfbcsim.harness`
     attributes, where the engine looks the functions up and where an outside
@@ -123,7 +138,7 @@ class TestStageCounts:
         import sfbcsim.pilots as pilots
 
         cfg = make_config(csi=csi)
-        h._engine(cfg)
+        h._TrialEngine(cfg)
         calls = dict.fromkeys(("pilot_values", "insert_pilots", "estimate_channel",
                                "normalize_pilots", "interpolate_channel"), 0)
         for name in calls:
@@ -144,7 +159,7 @@ class TestStageCounts:
         import sfbcsim.harness as h
 
         cfg = make_config(csi=csi)
-        h._engine(cfg)
+        h._TrialEngine(cfg)
         calls = dict.fromkeys(("zero_pad", "ofdm_modulate", "ofdm_demodulate"), 0)
         for name in calls:  # raises if the harness no longer binds the name
             def counted(*args, _name=name, _fn=getattr(h, name), **kwargs):
@@ -153,8 +168,33 @@ class TestStageCounts:
             monkeypatch.setattr(h, name, counted)
         for t in range(3):
             run_trial(cfg, 10.0, t)
-        h._engine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
+        h._TrialEngine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
         assert calls == dict.fromkeys(calls, 0)
+
+    def test_one_pilot_plan_per_grid(self, monkeypatch):
+        """Every QAM order and CSI mode on one grid shares one pilot plan: one
+        pilot_values call per port.  Another pairing, seed, n_rb or tap table
+        gets its own."""
+        import sfbcsim.harness as h
+        import sfbcsim.pilots as pilots
+
+        calls, original = [], pilots.pilot_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pilots, "pilot_values", counted)
+        seed = 2**40 + 7  # no other test's seed, so nothing is cached yet
+        for modulation in (4, 16, 64):
+            for csi in ("estimated", "perfect"):
+                run_trial(make_config(seed=seed, modulation=modulation, csi=csi), 10.0, 0)
+        assert len(calls) == 2
+        for change in (dict(pairing="adjacent"), dict(seed=seed + 1), dict(n_rb=15),
+                       dict(environment="rural_area")):
+            calls.clear()
+            h._TrialEngine(make_config(**{"seed": seed, **change}))
+            assert len(calls) == 2, change
 
 
 def numpy_state(entropy, key, n_words):
@@ -233,7 +273,7 @@ class TestAgainstTrialOracle:
         import sfbcsim.harness as h
 
         snr_db, seeds = zip(*trials)
-        assert h._engine(cfg).run(snr_db, trial_states(seeds)) == \
+        assert h._TrialEngine(cfg).run(snr_db, trial_states(seeds)) == \
             [trial_oracle.run_trial(cfg, snr, seed) for snr, seed in trials]
 
 
@@ -420,7 +460,7 @@ class TestRunSweep:
             return original(self, snr_db, states)
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
-        h._engine(cfg)
+        h._TrialEngine(cfg)
         monkeypatch.setattr(h._TrialEngine, "run", broken)
         open_fds = len(os.listdir("/proc/self/fd"))
         start = time.perf_counter()
@@ -440,7 +480,7 @@ class TestRunSweep:
         [flat] = run_sweep(cfg)
         taps.write_text("0.0 0\n5.0 0\n")
         [rewritten] = run_sweep(cfg)
-        h._cached_engine.cache_clear()
+        h._layout.cache_clear()
         [fresh] = run_sweep(cfg)
         assert (rewritten.total_bits, rewritten.bit_errors) == \
                (fresh.total_bits, fresh.bit_errors)
@@ -450,7 +490,7 @@ class TestRunSweep:
         import sfbcsim.harness as h
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
-        engine = h._engine(cfg)
+        engine = h._TrialEngine(cfg)
         original = type(engine).run
         clean = run_sweep(cfg)
         # the 0 dB point's fourth trial, spotted by its generator states
@@ -472,7 +512,7 @@ class TestRunSweep:
         import sfbcsim.harness as h
 
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
-        engine = h._engine(cfg)
+        engine = h._TrialEngine(cfg)
         original = type(engine).run
         clean = run_sweep(cfg)
         # the 6 dB point's fourth trial: the second share, run by a child at n_jobs=2
