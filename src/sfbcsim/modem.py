@@ -44,11 +44,12 @@ class QamConstellation:
         # even-indexed bits give the in-phase amplitude, odd-indexed the quadrature
         amp = _gray_levels(bits.reshape(order, m_axis, 2).swapaxes(1, 2)) / scale
         self.points = amp[:, 0] + 1j * amp[:, 1]
-        # per-axis levels indexed by the axis bit label, shared by I and Q
+        # per-axis levels indexed by the axis bit label, shared by I and Q:
+        # label g < 2**m_axis ends in g's own m_axis bits
         self._axis_levels = _gray_levels(bits[:2 ** m_axis, m_axis:]) / scale
         # row i * 2**m_axis + q: the bits of in-phase axis label i, quadrature q
-        self._pair_bits = bits.reshape(order, 2, m_axis).swapaxes(1, 2).reshape(order, k) \
-            .astype(np.uint8)
+        self._pair_bits = (bits.reshape(order, 2, m_axis).swapaxes(1, 2)
+                           .reshape(order, k).astype(np.uint8))
 
     def __repr__(self) -> str:
         return f"QamConstellation(order={self.order})"

@@ -68,8 +68,6 @@ class TestScenarioConfig:
     def test_default_max_bits_covers_configured_frames(self):
         cfg = make_config()
         assert cfg.effective_max_bits() == 4 * 10 * cfg.bits_per_trial()
-
-    def test_max_bits_budget_rule(self):
         # max_bits if set, else n_frames x 10 subframes, never below min_bits
         assert make_config(max_bits=30_000).effective_max_bits() == 30_000
         assert make_config(n_frames=1).effective_max_bits() == 10 * 1824
@@ -79,8 +77,8 @@ class TestScenarioConfig:
         listed = make_config(snr_db=[6.0, 0.0], max_bits=12_000)
         as_tuple = make_config(snr_db=(6.0, 0.0), max_bits=12_000)
         assert listed == as_tuple and listed.config_hash() == as_tuple.config_hash()
-        strip = [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(listed)]
-        assert strip == [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(as_tuple)]
+        records = [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(listed)]
+        assert records == [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(as_tuple)]
         assert run_trial(listed, 6.0, 3) == run_trial(as_tuple, 6.0, 3)
         assert listed.bits_per_trial() == as_tuple.bits_per_trial()
 
