@@ -4,9 +4,11 @@ usage: python scripts/sweep_matrix.py SRC_DIR [--jobs N]
 
 SRC_DIR is the `src` directory of a checkout; the `sfbcsim` package and its
 presets are imported from there.  Each of the 7 presets runs at seed 1 for
-every combination of 4/16/64-QAM, both pairings and both CSI modes (84
-sweeps), and prints `preset qam pairing csi sha256` of its CSV bytes.  Two
-checkouts that must not change an output byte print identical lines:
+every combination of 4/16/64-QAM, both pairings and both CSI modes, first at
+its own 6 resource blocks and then again at 50 (FFT size auto), where a
+sweep runs one trial per stack (168 sweeps).  Each prints
+`preset n_rb qam pairing csi sha256` of its CSV bytes.  Two checkouts that
+must not change an output byte print identical lines:
 
     python scripts/sweep_matrix.py old/src > old.txt
     python scripts/sweep_matrix.py new/src --jobs 2 > new.txt
@@ -38,15 +40,18 @@ def main(argv=None) -> int:
         parser.error(f"sfbcsim imported from {package}, not from {args.src_dir}")
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "sweep.csv"
-        for preset in sorted((package / "presets").glob("*.cfg")):
+        presets = sorted((package / "presets").glob("*.cfg"))
+        for wide, preset in itertools.product((False, True), presets):
             base = sfbcsim.load_config(preset)
+            if wide:
+                base = dataclasses.replace(base, n_rb=50, fft_size=None)
             for qam, pairing, csi in itertools.product((4, 16, 64), ("adjacent", "mirror"),
                                                        ("perfect", "estimated")):
                 config = dataclasses.replace(base, modulation=qam, pairing=pairing,
                                              csi=csi, seed=1)
                 sfbcsim.emit_csv(sfbcsim.run_sweep(config, n_jobs=args.jobs), csv)
                 digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-                print(preset.stem, qam, pairing, csi, digest, flush=True)
+                print(preset.stem, config.n_rb, qam, pairing, csi, digest, flush=True)
     return 0
 
 

@@ -248,19 +248,10 @@ def apply_channel(tx_grids: np.ndarray, realization: ChannelRealization) -> np.n
     return np.einsum("...mnkt,...mkt->...nkt", h, tx_grids)
 
 
-def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.ndarray:
-    """Add circular complex Gaussian noise at the given per-element SNR.
-
-    The noise variance per element is reference_power / 10^(snr_db/10);
-    snr_db of None or +inf bypasses the noise entirely, NaN and -inf are
-    rejected.  Sequences of SNRs and seeds stack signals on the leading
-    axis of `signal`, each drawing its own noise as if alone.
-    """
-    if np.ndim(seed) == 0:
-        return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]
+def draw_noise(noise: np.ndarray, snr_db, reference_power: float, seed) -> np.ndarray:
+    """Fill float `noise` (stack, ..., 2) with add_awgn's noise; return it as complex."""
     if reference_power <= 0:
         raise ValueError(f"reference power must be positive, got {reference_power}")
-    noise = np.empty(np.shape(signal) + (2,))
     if not len(snr_db) == len(seed) == len(noise):
         raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {len(noise)} signals")
     for b, (snr, s) in enumerate(zip(snr_db, seed)):
@@ -272,6 +263,19 @@ def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.nda
         variance = reference_power / 10.0 ** (snr / 10.0)
         np.random.default_rng(s).standard_normal(out=noise[b])
         noise[b] *= math.sqrt(variance / 2.0)  # normal(scale=...) bit for bit: 0 + scale * z
-    out = noise.view(np.complex128)[..., 0]  # each pair of draws: real, imaginary
+    return noise.view(np.complex128)[..., 0]  # each pair of draws: real, imaginary
+
+
+def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.ndarray:
+    """Add circular complex Gaussian noise at the given per-element SNR.
+
+    The noise variance per element is reference_power / 10^(snr_db/10);
+    snr_db of None or +inf bypasses the noise entirely, NaN and -inf are
+    rejected.  Sequences of SNRs and seeds stack signals on the leading
+    axis of `signal`, each drawing its own noise as if alone.
+    """
+    if np.ndim(seed) == 0:
+        return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]
+    out = draw_noise(np.empty(np.shape(signal) + (2,)), snr_db, reference_power, seed)
     out += signal
     return out

@@ -1,20 +1,20 @@
 """End-to-end trial execution and SNR sweeps.
 
 One trial simulates one subframe through the whole chain: bit generation,
-QAM mapping, SFBC encoding, grid assembly with pilots, the 2x2 fading
-channel, per-resource-element AWGN, channel estimation (or the perfect-CSI
-bypass), SFBC combining, hard demapping and bit-error counting.  The trial
-path is spectral end to end: the channel is one gain per link, subcarrier
-and symbol, applied per resource element, so an OFDM round trip would only
-return the grid up to rounding (tests/trial_oracle.py keeps it, and must
-agree).  Noise is added per resource element, where the SNR is defined:
-noise variance equals the ensemble-average received data-RE power divided
-by the linear SNR.  That average is analytic (tap powers and the Rician
-split are normalized so every link has unit mean energy), so the noise
-level is a fixed function of the configuration and never tracks individual
-fades.  The per-grid work is cached once per grid dimensions, tap table,
-pairing and seed, whatever the QAM order or CSI mode: the pilot plan, the
-channel's phase ramp and the SFBC pairs as flat resource-element indices.
+QAM mapping, SFBC encoding, pilots, the 2x2 fading channel, per-resource-
+element AWGN, channel estimation (or the perfect-CSI bypass), SFBC
+combining, hard demapping and bit-error counting.  The trial path is
+spectral: the channel is one gain per link, subcarrier and symbol, so an
+OFDM round trip would only return the grid up to rounding
+(tests/trial_oracle.py keeps it, and must agree).  It runs on one flat
+vector of the REs the receiver reads: the SFBC pairs', then (estimated CSI)
+each port's pilots.  The noise is drawn for the whole grid, as its stream
+holds it, and taken there.  Its variance is the ensemble-average received
+data-RE power over the linear SNR, an analytic average (every link has unit
+mean energy), so the noise level never tracks individual fades.  The
+per-grid work is cached once per grid dimensions, tap table, pairing and
+seed, whatever the QAM order or CSI mode: the pilot plan, the channel's
+phase ramp, the used REs' flat indices and the pilot values sent there.
 A sweep's engine adds its config's constellation, fading and bit budget.
 
 Seed splitting is bit-exact and reproducible:
@@ -40,7 +40,10 @@ or one trial at 15 RB and above).  A point adds its results in trial order
 and closes at the first trial that meets the stopping rule, so exactly the
 serial set of trials runs.  Each trial draws its streams from its own
 generators and each stacked stage treats every trial alone, so no output
-byte depends on how trials are stacked.
+byte depends on how trials are stacked.  A sweep of one-trial stacks in one
+process, with a usable CPU to spare, starts one helper thread that draws
+each stack's noise while the caller builds its signal; it never runs while
+run_sweep forks, and is joined before run_sweep returns.
 """
 
 from __future__ import annotations
@@ -50,10 +53,12 @@ import math
 import operator
 import os
 import pickle
+import queue
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import BinaryIO, NoReturn
 
 import numpy as np
@@ -253,10 +258,11 @@ class BerRecord:
 
 @lru_cache(maxsize=16)  # the 84-sweep matrix cycles through 12 grids, a benchmark workload 4
 def _layout(dims: GridDimensions, env: chan.RadioEnvironment, pairing: str,
-            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray]:
-    """One grid's pilot plan, phase ramp and SFBC pairs as flat RE indices,
-    shared by every QAM order and CSI mode; keyed on the tap table too, so a
-    rewritten env_file gets its own."""
+            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray, np.ndarray]:
+    """One grid's pilot plan and phase ramp, the flat indices of the REs a
+    receiver reads and each antenna's pilot or null values at the pilots;
+    shared by every QAM order and CSI mode, and keyed on the tap table too,
+    so a rewritten env_file gets its own."""
     pattern = pilots.PilotPattern(dims.n_subcarriers, dims.n_symbols)
     # every SFBC pair of the subframe in transmit order: its two absolute
     # data subcarriers and its OFDM symbol
@@ -266,10 +272,14 @@ def _layout(dims: GridDimensions, env: chan.RadioEnvironment, pairing: str,
         i0, i1 = sfbc.pair_indices(dk.size, pairing)
         pairs.append((dk[i0], dk[i1], np.full(i0.size, l)))
     k0, k1, l = (np.concatenate(a) for a in zip(*pairs))
-    # flat RE indices k * n_symbols + l: the pairs' first REs, then their second
-    res = np.concatenate([k0, k1]) * dims.n_symbols + np.tile(l, 2)
-    return (pilots.PilotPlan(pattern, derive_seed(seed, _PILOT_STREAM)),
-            chan.phase_ramp(env, dims), res)
+    plan = pilots.PilotPlan(pattern, derive_seed(seed, _PILOT_STREAM))
+    # flat RE indices k * n_symbols + l: the pairs' first REs, their second, the pilots
+    used = np.concatenate([k0, k1, *plan.k]) * dims.n_symbols + np.concatenate([l, l, *plan.l])
+    # data first, so insert_pilots refuses any on a pilot or null RE: once per grid
+    grid = np.zeros((2, dims.n_subcarriers, dims.n_symbols), dtype=np.complex128)
+    grid.reshape(2, -1)[:, used[:2 * l.size]] = 1.0
+    pilots.insert_pilots(grid, plan)
+    return plan, chan.phase_ramp(env, dims), used, grid[:, plan.k, plan.l].reshape(2, -1)
 
 
 class _TrialEngine:
@@ -277,14 +287,21 @@ class _TrialEngine:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.dims = config.dims()
+        self.dims = dims = config.dims()
         self.env = config.build_environment()
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
-        self.pilot_plan, self.phase_ramp, self.res = _layout(self.dims, self.env,
-                                                             config.pairing, config.seed)
-        self.re0, self.re1 = np.split(self.res, 2)
-        self.symbols_per_subframe = self.res.size
+        self.pilot_plan, self.phase_ramp, used, pilot_tx = _layout(dims, self.env,
+                                                                   config.pairing, config.seed)
+        self.symbols_per_subframe = n_data = used.size - pilot_tx.shape[-1]
+        self.re0, self.re1 = np.split(used[:n_data], 2)
+        # a trial's REs and the pilots sent there: only an estimate reads pilots
+        self.used, self.pilot_tx = ((used, pilot_tx) if config.csi == "estimated"
+                                    else (used[:n_data], pilot_tx[:, :0]))
+        k, l = np.divmod(self.re0, dims.n_symbols)  # estimates are read in (l, k) order
+        self.re0_estimate = l * dims.n_subcarriers + k
+        self.width = max(1, _STACK_RES // (dims.n_subcarriers * dims.n_symbols))  # per stack
+        self.helper = None  # the helper thread's call queue, while run_sweep runs one
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
         # default sample budget: the configured number of frames of payload
         self.max_bits = (config.max_bits if config.max_bits is not None
@@ -299,40 +316,53 @@ class _TrialEngine:
         """(bits_sent, bit_errors) per trial of a stack: trial b runs at snr_db[b]
         with the generator states states[b] (see `trial_states`), and every
         stage but bit generation once per stack."""
-        cfg, dims, n = self.config, self.dims, len(states)
+        dims, plan, n = self.dims, self.pilot_plan, len(states)
         bit_rngs, channel_rngs, noise_rngs = zip(
             *[[np.random.Generator(np.random.PCG64(_StoredState(w))) for w in row]
               for row in states])
-
+        # the whole grid's noise, as its stream holds it; the helper thread, if
+        # any, draws it while this one builds the signal
+        draw = partial(_stage, "add_awgn", chan.draw_noise,
+                       np.empty((n, 2, dims.n_subcarriers * dims.n_symbols, 2)),
+                       snr_db, self.reference_power, noise_rngs)
+        if self.helper:
+            self.helper.put((draw, box := queue.SimpleQueue()))
+            draw = box.get
         bits = np.stack([_stage("generate_bits", modem.generate_bits,
                                 self.bits_per_subframe, rng) for rng in bit_rngs])
         symbols = _stage("modulate", modem.modulate, bits, self.constellation)
 
-        tx = np.zeros((n, 2, dims.n_subcarriers * dims.n_symbols), dtype=np.complex128)
-        tx[..., self.re0], tx[..., self.re1] = _stage("sfbc_encode", sfbc.sfbc_encode,
-                                                      symbols[:, 0::2], symbols[:, 1::2])
-        tx = tx.reshape(n, 2, dims.n_subcarriers, dims.n_symbols)
-        _stage("insert_pilots", pilots.insert_pilots, tx, self.pilot_plan)
+        # no OFDM round trip: the channel acts on the grid (see the module docstring),
+        # here on the used REs taken as one subcarrier's symbols
+        h = _stage("realize_channel", chan.realize_channel, self.env, self.fading, dims,
+                   channel_rngs, self.phase_ramp).h
+        h = np.take(h.reshape(n, 2, 2, 1, -1), self.used, axis=-1)
+        # each antenna's values at the used REs: the pairs', then pilots and nulls
+        tx = np.concatenate([*_stage("sfbc_encode", sfbc.sfbc_encode, symbols[:, 0::2],
+                                     symbols[:, 1::2]),
+                             np.broadcast_to(self.pilot_tx, (n,) + self.pilot_tx.shape)], axis=-1)
         tx *= ANTENNA_AMPLITUDE
-
-        # no OFDM round trip: the channel acts on the grid (see the module docstring)
-        realization = _stage("realize_channel", chan.realize_channel,
-                             self.env, self.fading, dims, channel_rngs, self.phase_ramp)
-        received = _stage("apply_channel", chan.apply_channel, tx, realization)
-        del tx  # the transmit side is done: keep one stack of grids alive
-        received = _stage("add_awgn", chan.add_awgn, received, snr_db,
-                          self.reference_power, noise_rngs)
+        received = _stage("apply_channel", chan.apply_channel, tx[..., None, :],
+                          chan.ChannelRealization(h))[..., 0, :]
+        del tx  # the transmit side is done: keep few of the stack's arrays alive
+        if isinstance(noise := draw(), Exception):
+            raise noise
+        received += np.take(noise, self.used, axis=-1)
 
         # channel taken at the pair's first RE, assumed constant across the pair
-        if cfg.csi == "perfect":
-            h_pair = realization.h.reshape(n, 2, 2, -1)[..., self.re0] * ANTENNA_AMPLITUDE
-        else:
-            k0, l = np.divmod(self.re0, dims.n_symbols)
-            h_pair = _stage("estimate_channel", pilots.estimate_channel,
-                            received, self.pilot_plan)[..., k0, l]
+        n_data = self.symbols_per_subframe
+        if self.config.csi == "perfect":
+            h_pair = h[..., 0, :n_data // 2] * ANTENNA_AMPLITUDE
+        del h, noise, draw  # and the noise buffer: a trial peaks in memory from here
+        if self.config.csi == "estimated":
+            samples = _stage("estimate_channel", pilots.normalize_pilots,
+                             received[..., n_data:].reshape(n, 2, 2, -1), plan.values)
+            # the estimate [b, receive antenna, port, k, l] views an (l, k) array: read it flat
+            h_pair = _stage("estimate_channel", pilots.interpolate_channel, samples, plan)
+            h_pair = np.take(h_pair.swapaxes(-1, -2).reshape(n, 2, 2, -1),
+                             self.re0_estimate, axis=-1).swapaxes(-3, -2)
         # y[b, receive antenna, first or second RE of the pair, pair]
-        y = received.reshape(n, 2, -1)[..., self.res].reshape(n, 2, 2, -1)
-        del received, realization  # combining is where a trial peaks in memory
+        y = received[..., :n_data].reshape(n, 2, 2, -1)
         x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode, y[:, 0, 0], y[:, 1, 0],
                         y[:, 0, 1], y[:, 1, 1], np.moveaxis(h_pair, -1, -3))
         decoded = sfbc.interleave_pairs(x0, x1)
@@ -340,6 +370,17 @@ class _TrialEngine:
         rx_bits = _stage("demodulate", modem.demodulate, decoded, self.constellation)
         errors, _ = _stage("bit_errors", modem.bit_errors, bits, rx_bits.reshape(bits.shape))
         return [(bits.shape[1], e) for e in errors]
+
+
+def _serve(calls: queue.SimpleQueue) -> None:
+    """A helper thread: runs each call that `calls` pairs with a queue, until
+    None, and puts its result, or the exception it raised, in that queue."""
+    for call, box in iter(calls.get, None):
+        try:
+            box.put(call())
+        except Exception as exc:  # raised by the thread that reads the box
+            box.put(exc)
+        del call, box  # its buffer, before waiting for the next call
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -373,8 +414,7 @@ def _run_stack(engine: _TrialEngine, snr_db: list[float],
 
 def _run_points(engine: _TrialEngine, indices: Sequence[int]) -> list[dict]:
     """The point dicts of the ascending-SNR points `indices`, run as one wavefront."""
-    config, max_bits = engine.config, engine.max_bits
-    width = max(1, _STACK_RES // (engine.dims.n_subcarriers * engine.dims.n_symbols))
+    config, max_bits, width = engine.config, engine.max_bits, engine.width
     # trials seeded per pass: no more than a point can run, and at most 64
     block = min(64, -(-max_bits // engine.bits_per_subframe))
     order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
@@ -443,8 +483,11 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     n = len(config.snr_db)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
-    points, pids, pipes = [None] * n, [], []
+    points, pids, pipes, helper = [None] * n, [], [], None
     try:
+        if workers == 1 < (cpus or 1) and engine.width == 1:  # see the module docstring
+            engine.helper = queue.SimpleQueue()
+            (helper := threading.Thread(target=_serve, args=(engine.helper,))).start()
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
@@ -460,6 +503,9 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        if helper and helper.is_alive():  # not if it failed to start
+            engine.helper.put(None)
+            helper.join()
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]

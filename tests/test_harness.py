@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -121,6 +123,16 @@ class TestPairMaps:
         assert np.array_equal(engine.re0 % dims.n_symbols, engine.re1 % dims.n_symbols)
         assert engine.symbols_per_subframe == int(data.sum())
 
+    def test_data_on_a_pilot_re_fails_the_build(self, monkeypatch):
+        """The layout refuses a pair map that puts data on a pilot or null RE,
+        once per grid, naming the first symbol where it happens."""
+        import sfbcsim.harness as h
+
+        monkeypatch.setattr(PilotPattern, "data_subcarriers",
+                            lambda self, symbol: np.arange(self.n_subcarriers))
+        with pytest.raises(RuntimeError, match="pilot positions at symbol 0 already carry data"):
+            h._TrialEngine(make_config(seed=2**40 + 11))  # a grid no other test caches
+
 
 class TestStageCounts:
     """Per-trial calls of pilot and OFDM functions once the grid's layout is cached.
@@ -147,10 +159,38 @@ class TestStageCounts:
         n_trials = 3
         for t in range(n_trials):
             run_trial(cfg, 10.0, t)
-        assert calls == {"pilot_values": 0, "insert_pilots": n_trials,
-                         "estimate_channel": estimates * n_trials,
+        # the pilots are part of the cached transmit values, and the engine
+        # estimates from its flat received vector, not from a grid
+        assert calls == {"pilot_values": 0, "insert_pilots": 0, "estimate_channel": 0,
                          "normalize_pilots": estimates * n_trials,
                          "interpolate_channel": estimates * n_trials}
+
+    @pytest.mark.parametrize("n_rb", [6, 50])
+    def test_one_noise_draw_and_channel_contraction_per_stack(self, monkeypatch, n_rb):
+        """However wide a stack, its noise is drawn and its channel applied by
+        one call each, in a sweep (with its helper thread at 50 RB) as alone."""
+        import sfbcsim.channel as chan
+        import sfbcsim.harness as h
+
+        cfg = make_config(n_rb=n_rb, snr_db=(0.0, 4.0, 8.0, 12.0, 16.0), max_bits=40_000)
+        calls = dict.fromkeys(("run", "draw_noise", "apply_channel", "add_awgn"), 0)
+        original_run = h._TrialEngine.run
+
+        def counted_run(self, snr_db, states):
+            calls["run"] += 1
+            return original_run(self, snr_db, states)
+
+        monkeypatch.setattr(h._TrialEngine, "run", counted_run)
+        for name in ("draw_noise", "apply_channel", "add_awgn"):
+            def counted(*args, _name=name, _fn=getattr(chan, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(chan, name, counted)
+        h._TrialEngine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
+        assert calls == {"run": 1, "draw_noise": 1, "apply_channel": 1, "add_awgn": 0}
+        run_sweep(cfg)
+        assert calls["draw_noise"] == calls["apply_channel"] == calls["run"] > 1
+        assert calls["add_awgn"] == 0
 
     @pytest.mark.parametrize("csi", ["estimated", "perfect"])
     def test_no_ofdm_round_trip_per_trial(self, monkeypatch, csi):
@@ -552,6 +592,110 @@ class TestRunSweep:
                           + high.ber * (1 - high.ber) / high.total_bits)
         assert high.ber >= low.ber - 3 * sigma
         assert high.ber > low.ber
+
+
+class TestHelperThread:
+    """The noise-drawing thread of single-process sweeps of one-trial stacks."""
+
+    @staticmethod
+    def records(cfg, n_jobs=1):
+        return [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(cfg, n_jobs=n_jobs)]
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Threads alive (the caller's count) during each stack run by this process,
+        and each thread that drew noise."""
+        import sfbcsim.channel as chan
+        import sfbcsim.harness as h
+
+        alive, drawers, parent = [], [], os.getpid()
+        original_run, original_draw = h._TrialEngine.run, chan.draw_noise
+
+        def watched_run(self, snr_db, states):
+            if os.getpid() == parent:
+                alive.append(threading.active_count())
+            return original_run(self, snr_db, states)
+
+        def watched_draw(*args):
+            drawers.append(threading.current_thread())
+            return original_draw(*args)
+
+        monkeypatch.setattr(h._TrialEngine, "run", watched_run)
+        monkeypatch.setattr(chan, "draw_noise", watched_draw)
+        return alive, drawers
+
+    def test_same_records_with_and_without_the_helper(self, monkeypatch, two_cpus):
+        alive, drawers = self.watch(monkeypatch)
+        for csi in ("perfect", "estimated"):
+            cfg = make_config(n_rb=50, environment="typical_urban", csi=csi,
+                              snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
+            before, interval = threading.active_count(), sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+            try:
+                with_helper = self.records(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == before
+            assert set(alive) == {before + 1}
+            assert drawers and threading.main_thread() not in drawers
+            alive.clear()
+            drawers.clear()
+            with monkeypatch.context() as one_cpu:  # no CPU to spare: no helper
+                one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                one_cpu.setattr(os, "cpu_count", lambda: 1)
+                assert self.records(cfg) == with_helper
+            assert set(alive) == {before}
+            assert set(drawers) == {threading.main_thread()}
+            alive.clear()
+            drawers.clear()
+
+    def test_failed_noise_draw_fails_its_point_only(self, monkeypatch, two_cpus):
+        import sfbcsim.channel as chan
+
+        cfg = make_config(n_rb=50, snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
+        clean = self.records(cfg)
+        original, drawers = chan.draw_noise, []
+
+        def flaky(noise, snr_db, reference_power, seed):
+            drawers.append(threading.current_thread())
+            if list(snr_db) == [6.0]:
+                raise ValueError("boom")
+            return original(noise, snr_db, reference_power, seed)
+
+        monkeypatch.setattr(chan, "draw_noise", flaky)
+        before = threading.active_count()
+        records = self.records(cfg)
+        assert threading.active_count() == before
+        assert drawers and threading.main_thread() not in drawers
+        # the 6 dB point fails at its first trial; the others run as before
+        assert records[1].error == "stage 'add_awgn' failed: boom"
+        assert records[1].total_bits == 0 and records[1].n_trials == 0
+        assert [records[0], records[2]] == [clean[0], clean[2]]
+
+    def test_no_thread_outlives_a_failed_sweep(self, monkeypatch, two_cpus):
+        import sfbcsim.channel as chan
+
+        class Abort(BaseException):
+            pass
+
+        def aborted(*args, **kwargs):  # while the helper draws the stack's noise
+            raise Abort
+
+        monkeypatch.setattr(chan, "realize_channel", aborted)
+        before = threading.active_count()
+        with pytest.raises(Abort):
+            run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_rb,n_jobs", [(6, 1), (6, 2), (50, 2)])
+    def test_no_thread_without_one_trial_stacks_in_one_process(self, monkeypatch, two_cpus,
+                                                               n_rb, n_jobs):
+        alive, drawers = self.watch(monkeypatch)
+        before = threading.active_count()
+        self.records(make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000), n_jobs)
+        assert alive and set(alive) == {before}
+        if n_jobs == 1:  # a forked share's draws are not seen here
+            assert set(drawers) == {threading.main_thread()}
 
 
 class TestEndToEndAgainstTheory:
