@@ -7,9 +7,8 @@ multipath channel) as a function of SNR across modulation orders and
 radio environments.
 """
 
-from .channel import (ChannelRealization, FadingConfig, RadioEnvironment,
-                      add_awgn, apply_channel, build_environment,
-                      load_environment_file, realize_channel)
+from .channel import (FadingConfig, RadioEnvironment, add_awgn, apply_channel,
+                      build_environment, load_environment_file, realize_channel)
 from .cli import ConfigError, emit_csv, emit_json, emit_plot, load_config, main
 from .grid import (GridDimensions, ofdm_demodulate, ofdm_modulate,
                    strip_padding, zero_pad)
@@ -25,14 +24,13 @@ from .sfbc import (SfbcDecodeError, pair_indices, sfbc_decode, sfbc_encode)
 __version__ = "0.1.0"
 
 __all__ = [
-    "BerRecord", "ChannelRealization", "ConfigError", "EstimationError",
-    "FadingConfig", "GridDimensions", "PilotPattern", "PilotPlan", "QamConstellation",
-    "RadioEnvironment", "ScenarioConfig", "SfbcDecodeError", "SimulationError",
-    "add_awgn", "apply_channel", "bit_errors", "build_environment",
-    "demodulate", "emit_csv", "emit_json", "emit_plot", "estimate_channel",
-    "generate_bits", "insert_pilots", "interpolate_channel",
-    "load_config", "load_environment_file", "main", "modulate",
+    "BerRecord", "ConfigError", "EstimationError", "FadingConfig", "GridDimensions",
+    "PilotPattern", "PilotPlan", "QamConstellation", "RadioEnvironment",
+    "ScenarioConfig", "SfbcDecodeError", "SimulationError", "add_awgn", "apply_channel",
+    "bit_errors", "build_environment", "demodulate", "emit_csv", "emit_json",
+    "emit_plot", "estimate_channel", "generate_bits", "insert_pilots",
+    "interpolate_channel", "load_config", "load_environment_file", "main", "modulate",
     "normalize_pilots", "ofdm_demodulate", "ofdm_modulate", "pair_indices",
-    "pilot_values", "realize_channel", "run_sweep", "run_trial",
-    "sfbc_decode", "sfbc_encode", "strip_padding", "zero_pad",
+    "pilot_values", "realize_channel", "run_sweep", "run_trial", "sfbc_decode",
+    "sfbc_encode", "strip_padding", "zero_pad",
 ]

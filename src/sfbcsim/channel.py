@@ -5,9 +5,9 @@ multipath ones use the COST 207 reduced tap settings with powers
 normalized to unit total.  Fading is Rician per tap zero (line-of-sight
 share set by the K factor) over Rayleigh scatter with a Jakes Doppler
 spectrum, spatially correlated across the four links via the Kronecker
-model.  The realization is generated directly in the frequency domain,
-one complex gain per link, subcarrier and OFDM symbol, and applied as
-y = Hx + n per resource element.  No inter-symbol interference is modelled,
+model.  A realization is an array generated directly in the frequency
+domain, one complex gain per link, subcarrier and OFDM symbol, and applied
+as y = Hx + n per resource element.  No inter-symbol interference is modelled,
 even where a tap outlasts the cyclic prefix (5.2 us at 6 RB, while bad_urban
 and hilly_terrain reach 6.6 and 17.2 us).
 """
@@ -146,14 +146,6 @@ class FadingConfig:
         return (self.speed_kmh / 3.6) * self.carrier_freq_ghz * 1e9 / SPEED_OF_LIGHT
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-link complex gains, shape (2 tx, 2 rx, n_subcarriers, n_symbols);
-    a stack of realizations has a leading axis."""
-
-    h: np.ndarray
-
-
 def _corr_sqrt(rho: float) -> np.ndarray:
     # Hermitian square root of [[1, rho], [rho, 1]] for real rho in [0, 1]
     c = 0.5 * (math.sqrt(1.0 + rho) + math.sqrt(1.0 - rho))
@@ -190,8 +182,9 @@ def phase_ramp(env: RadioEnvironment, dims: GridDimensions) -> np.ndarray:
 
 def realize_channel(env: RadioEnvironment, fading: FadingConfig,
                     dims: GridDimensions, seed,
-                    ramp: np.ndarray | None = None) -> ChannelRealization:
-    """Draw one deterministic channel realization for a subframe.
+                    ramp: np.ndarray | None = None) -> np.ndarray:
+    """Draw one deterministic channel realization for a subframe: the per-link
+    complex gains h, shape (2 tx, 2 rx, n_subcarriers, n_symbols).
 
     Per tap, the four links carry correlated Rayleigh scatter with a Jakes
     Doppler spectrum; the line-of-sight share of the K factor rides on tap
@@ -203,12 +196,12 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     leading axis, each drawn from its own generator exactly as if alone.
     """
     if np.ndim(seed) == 0:
-        return ChannelRealization(realize_channel(env, fading, dims, [seed], ramp).h[0])
+        return realize_channel(env, fading, dims, [seed], ramp)[0]
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
     if env.name == "awgn_only":
         h = np.zeros((len(seed), 2, 2, n_sc, n_sym), dtype=np.complex128)
         h[:, [0, 1], [0, 1]] = 1.0
-        return ChannelRealization(h)
+        return h
 
     n_taps = len(env.delays_s)
     symbol_duration = (dims.fft_size + dims.cp_len) / dims.sample_rate_hz
@@ -234,17 +227,16 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
 
     taps = scatter * np.sqrt(env.powers_linear)[:, None]
     ramp = phase_ramp(env, dims) if ramp is None else ramp
-    return ChannelRealization(ramp @ taps)  # (seeds, 2, 2, k, t)
+    return ramp @ taps  # (seeds, 2, 2, k, t)
 
 
-def apply_channel(tx_grids: np.ndarray, realization: ChannelRealization) -> np.ndarray:
+def apply_channel(tx_grids: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Noiseless received grids: y_n[k, t] = sum_m h[m, n, k, t] x_m[k, t], per stack item."""
     tx_grids = np.asarray(tx_grids)
-    h = realization.h
     expected = h.shape[:-4] + (2,) + h.shape[-2:]
     if tx_grids.shape != expected:
         raise ValueError(
-            f"tx grids shape {tx_grids.shape} does not match realization {expected}")
+            f"tx grids shape {tx_grids.shape} does not match the gains' {expected}")
     return np.einsum("...mnkt,...mkt->...nkt", h, tx_grids)
 
 

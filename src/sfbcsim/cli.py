@@ -25,7 +25,7 @@ from .channel import ENVIRONMENT_NAMES, build_environment
 from .grid import RB_BANDWIDTH_MHZ
 from .harness import BerRecord, ScenarioConfig, SimulationError, run_sweep
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 CSV_HEADER = "snr_db,total_bits,bit_errors,ber,n_trials,seed"
 
@@ -64,7 +64,8 @@ def _pairs_with_n_rb(key: str, text: str, config: ScenarioConfig) -> None:
 
 # Keys of the paper's fixed 2x2 SFBC LTE FDD downlink frame: accepted only with
 # these values (case-insensitive) and not stored, as the simulation reads none
-# of them.  Fading follows k_factor whatever the channel_type; n_rb sets the bandwidth.
+# of them.  Fading follows k_factor whatever the channel_type; n_rb sets the
+# bandwidth and the FFT length, and max_bits (by default four frames) the budget.
 _FIXED_KEYS = {
     "transmission_mode": _one_of("sfbc_2x2_downlink"),
     "duplex": _one_of("fdd"),
@@ -72,6 +73,8 @@ _FIXED_KEYS = {
     "structure": _one_of("frame"),
     "channel_type": _one_of("rayleigh", "rician"),
     "bandwidth_mhz": _pairs_with_n_rb,
+    "fft_size": _one_of("auto"),
+    "n_frames": _one_of("4"),
 }
 
 

@@ -2,13 +2,15 @@
 
 Resource-block bookkeeping follows the standard bandwidth table (6 RB for
 1.4 MHz up to 100 RB for 20 MHz, 12 subcarriers per RB, 14 symbols per
-subframe with the normal cyclic prefix).  The DFTs are unitary in both
-directions so that frequency-domain and time-domain powers agree.
+subframe with the normal cyclic prefix), and the FFT length is the smallest
+power of two covering the occupied subcarriers.  The DFTs are unitary in
+both directions so that frequency-domain and time-domain powers agree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,22 +32,20 @@ class GridDimensions:
     """Frequency/time sizing of one antenna port's resource grid."""
 
     n_rb: int = 6
-    fft_size: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_rb", operator.index(self.n_rb))
         if self.n_rb not in RB_BANDWIDTH_MHZ:
             raise ValueError(
                 f"n_rb must be one of {sorted(RB_BANDWIDTH_MHZ)}, got {self.n_rb}")
-        if self.fft_size is None:
-            object.__setattr__(self, "fft_size", default_fft_size(self.n_subcarriers))
-        n = self.fft_size
-        if n < self.n_subcarriers or (n & (n - 1)) != 0:
-            raise ValueError(
-                f"fft_size must be a power of two >= {self.n_subcarriers}, got {n}")
 
     @property
     def n_subcarriers(self) -> int:
         return 12 * self.n_rb
+
+    @property
+    def fft_size(self) -> int:
+        return default_fft_size(self.n_subcarriers)
 
     @property
     def n_symbols(self) -> int:

@@ -162,8 +162,6 @@ class ScenarioConfig:
     snr_db: tuple[float, ...]
     modulation: int = 4
     n_rb: int = 6
-    fft_size: int | None = None
-    n_frames: int = 4
     environment: str = "user_defined"
     env_file: str | None = None
     k_factor: float = 1000.0
@@ -179,6 +177,9 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
+        for label in ("modulation", "n_rb", "min_bits", "max_bits", "seed"):
+            if (value := getattr(self, label)) is not None:  # numpy integers pass as ints
+                object.__setattr__(self, label, operator.index(value))
         if self.modulation not in modem.QAM_ORDERS:
             raise ValueError(f"modulation must be one of {modem.QAM_ORDERS}, "
                              f"got {self.modulation}")
@@ -194,8 +195,6 @@ class ScenarioConfig:
             raise ValueError("csi must be 'perfect' or 'estimated'")
         if self.min_bits < 10_000:
             raise ValueError(f"min_bits must be at least 10000, got {self.min_bits}")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be at least 1")
         if self.max_bits is not None and self.max_bits < self.min_bits:
             raise ValueError("max_bits must be >= min_bits")
         if self.seed < 0:
@@ -206,7 +205,7 @@ class ScenarioConfig:
         self.fading()
 
     def dims(self) -> GridDimensions:
-        return GridDimensions(self.n_rb, self.fft_size)
+        return GridDimensions(self.n_rb)
 
     def build_environment(self) -> chan.RadioEnvironment:
         if self.env_file is not None:
@@ -303,9 +302,9 @@ class _TrialEngine:
         self.width = max(1, _STACK_RES // (dims.n_subcarriers * dims.n_symbols))  # per stack
         self.helper = None  # the helper thread's call queue, while run_sweep runs one
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
-        # default sample budget: the configured number of frames of payload
+        # default sample budget: four frames of ten subframes of payload
         self.max_bits = (config.max_bits if config.max_bits is not None
-                         else max(config.n_frames * 10 * self.bits_per_subframe, config.min_bits))
+                         else max(40 * self.bits_per_subframe, config.min_bits))
 
         # ensemble-average received data-RE power: each fading link has unit
         # mean energy (identity channel: one unit link per receive antenna)
@@ -335,17 +334,16 @@ class _TrialEngine:
         # no OFDM round trip: the channel acts on the grid (see the module docstring),
         # here on the used REs taken as one subcarrier's symbols
         h = _stage("realize_channel", chan.realize_channel, self.env, self.fading, dims,
-                   channel_rngs, self.phase_ramp).h
+                   channel_rngs, self.phase_ramp)
         h = np.take(h.reshape(n, 2, 2, 1, -1), self.used, axis=-1)
         # each antenna's values at the used REs: the pairs', then pilots and nulls
         tx = np.concatenate([*_stage("sfbc_encode", sfbc.sfbc_encode, symbols[:, 0::2],
                                      symbols[:, 1::2]),
                              np.broadcast_to(self.pilot_tx, (n,) + self.pilot_tx.shape)], axis=-1)
         tx *= ANTENNA_AMPLITUDE
-        received = _stage("apply_channel", chan.apply_channel, tx[..., None, :],
-                          chan.ChannelRealization(h))[..., 0, :]
+        received = _stage("apply_channel", chan.apply_channel, tx[..., None, :], h)[..., 0, :]
         del tx  # the transmit side is done: keep few of the stack's arrays alive
-        if isinstance(noise := draw(), Exception):
+        if isinstance(noise := draw(), BaseException):
             raise noise
         received += np.take(noise, self.used, axis=-1)
 
@@ -378,7 +376,7 @@ def _serve(calls: queue.SimpleQueue) -> None:
     for call, box in iter(calls.get, None):
         try:
             box.put(call())
-        except Exception as exc:  # raised by the thread that reads the box
+        except BaseException as exc:  # raised by the thread that reads the box
             box.put(exc)
         del call, box  # its buffer, before waiting for the next call
 

@@ -66,7 +66,8 @@ class TestLoadConfig:
                 load_config(path)
 
     @pytest.mark.parametrize("line", ["transmission_mode = sfbc_4x4_downlink",
-                                      "structure = slot", "channel_type = nakagami"])
+                                      "structure = slot", "channel_type = nakagami",
+                                      "fft_size = 256", "n_frames = 2"])
     def test_fixed_key_bad_value_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"{line}\nsnr_db = 0\n")
@@ -75,9 +76,11 @@ class TestLoadConfig:
 
     def test_fixed_keys_case_insensitive_and_not_stored(self, tmp_path):
         path = tmp_path / "upper.cfg"
-        path.write_text("duplex = FDD\nchannel_type = Rician\nsnr_db = 0\n")
+        path.write_text("duplex = FDD\nchannel_type = Rician\nfft_size = AUTO\n"
+                        "n_frames = 4\nsnr_db = 0\n")
         cfg = load_config(path)
-        assert not hasattr(cfg, "duplex") and not hasattr(cfg, "channel_type")
+        for key in ("duplex", "channel_type", "fft_size", "n_frames"):
+            assert not hasattr(cfg, key)
 
     @pytest.mark.parametrize("fft_size", [100, 64])
     def test_bad_fft_size_rejected(self, tmp_path, capsys, fft_size):
@@ -142,11 +145,12 @@ class TestEmitJson:
         emit_json(make_records(), b, cfg)
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert payload["scenario"]["seed"] == 3
         assert payload["scenario"]["tap_delays_s"] == [0.0]
         assert payload["scenario"]["tap_powers_db"] == [0.0]
-        assert "bandwidth_mhz" not in payload["scenario"]
+        for key in ("bandwidth_mhz", "fft_size", "n_frames"):
+            assert key not in payload["scenario"]
         assert len(payload["scenario"]["config_hash"]) == 16
         row = payload["records"][0]
         assert set(row) == {"snr_db", "total_bits", "bit_errors", "ber",

@@ -31,14 +31,9 @@ class TestGridDimensions:
     def test_invalid_rb_count(self):
         with pytest.raises(ValueError):
             GridDimensions(7)
-
-    def test_fft_size_not_power_of_two(self):
-        with pytest.raises(ValueError):
-            GridDimensions(6, fft_size=96)
-
-    def test_fft_size_too_small(self):
-        with pytest.raises(ValueError):
-            GridDimensions(6, fft_size=64)
+        with pytest.raises(TypeError):
+            GridDimensions(6.0)
+        assert GridDimensions(np.int64(6)) == GridDimensions(6)
 
     def test_subcarrier_freqs_centred(self):
         f = GridDimensions(6).subcarrier_freqs_hz()

@@ -69,11 +69,23 @@ class TestScenarioConfig:
 
     def test_default_max_bits_covers_configured_frames(self):
         cfg = make_config()
-        assert cfg.effective_max_bits() == 4 * 10 * cfg.bits_per_trial()
-        # max_bits if set, else n_frames x 10 subframes, never below min_bits
+        assert cfg.effective_max_bits() == 4 * 10 * cfg.bits_per_trial() == 40 * 1824
+        # max_bits if set, else 4 frames x 10 subframes, never below min_bits
         assert make_config(max_bits=30_000).effective_max_bits() == 30_000
-        assert make_config(n_frames=1).effective_max_bits() == 10 * 1824
-        assert make_config(n_frames=1, min_bits=20_000).effective_max_bits() == 20_000
+        assert make_config(min_bits=80_000).effective_max_bits() == 80_000
+
+    @pytest.mark.parametrize("field,value", [("modulation", 4.0), ("n_rb", 6.0),
+                                             ("min_bits", 10_000.0), ("max_bits", 20_000.5),
+                                             ("seed", 1.5)])
+    def test_integer_fields_take_integers_only(self, field, value):
+        with pytest.raises(TypeError):
+            make_config(**{field: value})
+        with pytest.raises(TypeError):
+            dataclasses.replace(make_config(), **{field: value})
+        # numpy integers pass, stored (and so hashed) as the int they equal
+        numpy_int = make_config(**{field: np.int64(value)})
+        assert type(getattr(numpy_int, field)) is int
+        assert numpy_int.config_hash() == make_config(**{field: int(value)}).config_hash()
 
     def test_listed_snrs_match_the_tuple_form(self):
         listed = make_config(snr_db=[6.0, 0.0], max_bits=12_000)
@@ -685,6 +697,33 @@ class TestHelperThread:
         before = threading.active_count()
         with pytest.raises(Abort):
             run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
+        assert threading.active_count() == before
+
+    def test_any_exception_of_a_noise_draw_reaches_the_caller(self, monkeypatch, two_cpus):
+        import sfbcsim.channel as chan
+
+        class Abort(BaseException):
+            pass
+
+        drawers, caught = [], []
+
+        def aborted(*args, **kwargs):
+            drawers.append(threading.current_thread())
+            raise Abort
+
+        def sweep():
+            try:
+                run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
+            except Abort as exc:
+                caught.append(exc)
+
+        monkeypatch.setattr(chan, "draw_noise", aborted)
+        before = threading.active_count()
+        caller = threading.Thread(target=sweep, daemon=True)  # a hung caller must not hang pytest
+        caller.start()
+        caller.join(timeout=60)
+        assert len(caught) == 1 and drawers and caller not in drawers
+        assert not caller.is_alive()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n_rb,n_jobs", [(6, 1), (6, 2), (50, 2)])

@@ -48,14 +48,14 @@ def run_trial(cfg, snr_db, trial_seed: int) -> tuple[int, int]:
 
     tx_time = ofdm_modulate(zero_pad(np.moveaxis(grids, 1, 2), fft), fft, cp)
     tx_freq = np.moveaxis(ofdm_demodulate(tx_time, fft, cp, n_sc), 2, 1)
-    realization = channel.realize_channel(env, fading, dims, derive_seed(trial_seed, 1))
-    received = channel.apply_channel(tx_freq, realization)
+    h = channel.realize_channel(env, fading, dims, derive_seed(trial_seed, 1))
+    received = channel.apply_channel(tx_freq, h)
     # ensemble-average received data-RE power: unit-energy links
     reference_power = ANTENNA_AMPLITUDE ** 2 * (2.0 if env.name == "awgn_only" else 4.0) / 2.0
     received = channel.add_awgn(received, snr_db, reference_power, derive_seed(trial_seed, 2))
 
     if cfg.csi == "perfect":
-        h_est = realization.h * ANTENNA_AMPLITUDE
+        h_est = h * ANTENNA_AMPLITUDE
     else:
         h_est = pilots.estimate_channel(received, plan)
     h_pair = np.moveaxis(h_est[:, :, k0, l], 2, 0)
