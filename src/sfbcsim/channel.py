@@ -135,8 +135,11 @@ class FadingConfig:
         for label in ("k_factor", "speed_kmh", "carrier_freq_ghz"):
             if not math.isfinite(getattr(self, label)):
                 raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
-        if self.k_factor < 0:
-            raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
+        for label in ("k_factor", "speed_kmh"):  # a speed of 0 is a static channel
+            if getattr(self, label) < 0:
+                raise ValueError(f"{label} must be >= 0, got {getattr(self, label)}")
+        if self.carrier_freq_ghz <= 0:
+            raise ValueError(f"carrier_freq_ghz must be > 0, got {self.carrier_freq_ghz}")
         for label, value in (("tx_corr", self.tx_corr), ("rx_corr", self.rx_corr)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{label} must lie in [0, 1], got {value}")

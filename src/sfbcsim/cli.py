@@ -57,7 +57,7 @@ def _one_of(*allowed: str):
 
 def _pairs_with_n_rb(key: str, text: str, config: ScenarioConfig) -> None:
     mhz = RB_BANDWIDTH_MHZ[config.n_rb]
-    if abs(float(text) - mhz) > 1e-9:
+    if not abs(float(text) - mhz) <= 1e-9:  # NaN too
         raise ValueError(f"{config.n_rb} resource blocks pair with {mhz} MHz, "
                          f"not {float(text)} MHz")
 

@@ -12,10 +12,10 @@ each port's pilots.  The noise is drawn for the whole grid, as its stream
 holds it, and taken there.  Its variance is the ensemble-average received
 data-RE power over the linear SNR, an analytic average (every link has unit
 mean energy), so the noise level never tracks individual fades.  The
-per-grid work is cached once per grid dimensions, tap table, pairing and
-seed, whatever the QAM order or CSI mode: the pilot plan, the channel's
-phase ramp, the used REs' flat indices and the pilot values sent there.
-A sweep's engine adds its config's constellation, fading and bit budget.
+per-grid work is cached once per grid dimensions, pairing and seed, whatever
+the QAM order, CSI mode or tap table: the pilot plan, the used REs' flat
+indices and the pilot values sent there.  A sweep's engine adds its config's
+constellation, fading, bit budget and the channel's phase ramp.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -41,9 +41,10 @@ and closes at the first trial that meets the stopping rule, so exactly the
 serial set of trials runs.  Each trial draws its streams from its own
 generators and each stacked stage treats every trial alone, so no output
 byte depends on how trials are stacked.  A sweep of one-trial stacks in one
-process, with a usable CPU to spare, starts one helper thread that draws
-each stack's noise while the caller builds its signal; it never runs while
-run_sweep forks, and is joined before run_sweep returns.
+process, with a usable CPU to spare, starts a one-thread executor that
+draws each stack's noise while the caller builds its signal; its thread
+starts before the first stack, never runs while run_sweep forks, and is
+joined before run_sweep returns.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ import math
 import operator
 import os
 import pickle
-import queue
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -81,7 +80,7 @@ _TRIAL_STREAM = 1
 
 
 class SimulationError(RuntimeError):
-    """A pipeline stage failed; the message names the stage."""
+    """A pipeline stage or a sweep worker failed; the message names which."""
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -255,13 +254,12 @@ class BerRecord:
     error: str | None = None
 
 
-@lru_cache(maxsize=16)  # the 84-sweep matrix cycles through 12 grids, a benchmark workload 4
-def _layout(dims: GridDimensions, env: chan.RadioEnvironment, pairing: str,
-            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray, np.ndarray]:
-    """One grid's pilot plan and phase ramp, the flat indices of the REs a
-    receiver reads and each antenna's pilot or null values at the pilots;
-    shared by every QAM order and CSI mode, and keyed on the tap table too,
-    so a rewritten env_file gets its own."""
+@lru_cache(maxsize=16)  # the 168-sweep matrix cycles through 4 grids, a benchmark workload 1
+def _layout(dims: GridDimensions, pairing: str,
+            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray]:
+    """One grid's pilot plan, the flat indices of the REs a receiver reads and
+    each antenna's pilot or null values at the pilots; shared by every QAM
+    order, CSI mode and tap table."""
     pattern = pilots.PilotPattern(dims.n_subcarriers, dims.n_symbols)
     # every SFBC pair of the subframe in transmit order: its two absolute
     # data subcarriers and its OFDM symbol
@@ -278,7 +276,7 @@ def _layout(dims: GridDimensions, env: chan.RadioEnvironment, pairing: str,
     grid = np.zeros((2, dims.n_subcarriers, dims.n_symbols), dtype=np.complex128)
     grid.reshape(2, -1)[:, used[:2 * l.size]] = 1.0
     pilots.insert_pilots(grid, plan)
-    return plan, chan.phase_ramp(env, dims), used, grid[:, plan.k, plan.l].reshape(2, -1)
+    return plan, used, grid[:, plan.k, plan.l].reshape(2, -1)
 
 
 class _TrialEngine:
@@ -290,8 +288,8 @@ class _TrialEngine:
         self.env = config.build_environment()
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
-        self.pilot_plan, self.phase_ramp, used, pilot_tx = _layout(dims, self.env,
-                                                                   config.pairing, config.seed)
+        self.pilot_plan, used, pilot_tx = _layout(dims, config.pairing, config.seed)
+        self.phase_ramp = chan.phase_ramp(self.env, dims)
         self.symbols_per_subframe = n_data = used.size - pilot_tx.shape[-1]
         self.re0, self.re1 = np.split(used[:n_data], 2)
         # a trial's REs and the pilots sent there: only an estimate reads pilots
@@ -300,7 +298,7 @@ class _TrialEngine:
         k, l = np.divmod(self.re0, dims.n_symbols)  # estimates are read in (l, k) order
         self.re0_estimate = l * dims.n_subcarriers + k
         self.width = max(1, _STACK_RES // (dims.n_subcarriers * dims.n_symbols))  # per stack
-        self.helper = None  # the helper thread's call queue, while run_sweep runs one
+        self.helper = None  # the noise-drawing executor, while run_sweep runs one
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
         # default sample budget: four frames of ten subframes of payload
         self.max_bits = (config.max_bits if config.max_bits is not None
@@ -325,8 +323,7 @@ class _TrialEngine:
                        np.empty((n, 2, dims.n_subcarriers * dims.n_symbols, 2)),
                        snr_db, self.reference_power, noise_rngs)
         if self.helper:
-            self.helper.put((draw, box := queue.SimpleQueue()))
-            draw = box.get
+            draw = self.helper.submit(draw).result
         bits = np.stack([_stage("generate_bits", modem.generate_bits,
                                 self.bits_per_subframe, rng) for rng in bit_rngs])
         symbols = _stage("modulate", modem.modulate, bits, self.constellation)
@@ -343,15 +340,13 @@ class _TrialEngine:
         tx *= ANTENNA_AMPLITUDE
         received = _stage("apply_channel", chan.apply_channel, tx[..., None, :], h)[..., 0, :]
         del tx  # the transmit side is done: keep few of the stack's arrays alive
-        if isinstance(noise := draw(), BaseException):
-            raise noise
-        received += np.take(noise, self.used, axis=-1)
+        received += np.take(draw(), self.used, axis=-1)
 
         # channel taken at the pair's first RE, assumed constant across the pair
         n_data = self.symbols_per_subframe
         if self.config.csi == "perfect":
             h_pair = h[..., 0, :n_data // 2] * ANTENNA_AMPLITUDE
-        del h, noise, draw  # and the noise buffer: a trial peaks in memory from here
+        del h, draw  # and the noise buffer: a trial peaks in memory from here
         if self.config.csi == "estimated":
             samples = _stage("estimate_channel", pilots.normalize_pilots,
                              received[..., n_data:].reshape(n, 2, 2, -1), plan.values)
@@ -368,17 +363,6 @@ class _TrialEngine:
         rx_bits = _stage("demodulate", modem.demodulate, decoded, self.constellation)
         errors, _ = _stage("bit_errors", modem.bit_errors, bits, rx_bits.reshape(bits.shape))
         return [(bits.shape[1], e) for e in errors]
-
-
-def _serve(calls: queue.SimpleQueue) -> None:
-    """A helper thread: runs each call that `calls` pairs with a queue, until
-    None, and puts its result, or the exception it raised, in that queue."""
-    for call, box in iter(calls.get, None):
-        try:
-            box.put(call())
-        except BaseException as exc:  # raised by the thread that reads the box
-            box.put(exc)
-        del call, box  # its buffer, before waiting for the next call
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -473,7 +457,7 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     stops below `min_bits`.  The points are dealt out in interleaved shares
     to w = min(n_jobs, usable CPUs, points) processes: this one runs share
     0 and a forked child each other share (w = 1 without `os.fork`).  A
-    child that dies or fails other than by SimulationError raises RuntimeError.
+    child that dies or fails in any way raises SimulationError.
     """
     if operator.index(n_jobs) < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
@@ -481,11 +465,12 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     n = len(config.snr_db)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
-    points, pids, pipes, helper = [None] * n, [], [], None
+    points, pids, pipes = [None] * n, [], []
     try:
         if workers == 1 < (cpus or 1) and engine.width == 1:  # see the module docstring
-            engine.helper = queue.SimpleQueue()
-            (helper := threading.Thread(target=_serve, args=(engine.helper,))).start()
+            from concurrent.futures import ThreadPoolExecutor  # here only: few sweeps need it
+            engine.helper = ThreadPoolExecutor(1)
+            engine.helper.submit(int)  # a no-op that starts its thread for the whole sweep
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
@@ -496,14 +481,13 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
         points[0::workers] = _run_points(engine, range(0, n, workers))
         payloads = [pipe.read() for pipe in pipes]
     except BaseException:
-        import signal  # here only: a sweep that succeeds imports nothing new
+        import signal  # here only: no sweep that succeeds needs it
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        if helper and helper.is_alive():  # not if it failed to start
-            engine.helper.put(None)
-            helper.join()
+        if engine.helper:
+            engine.helper.shutdown()
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
@@ -511,7 +495,7 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
         result = pickle.loads(payload) if status == 0 else \
             f"exit status {os.waitstatus_to_exitcode(status)}"
         if isinstance(result, str):
-            raise RuntimeError(f"sweep worker {pid} failed: {result}")
+            raise SimulationError(f"sweep worker {pid} failed: {result}")
         points[k::workers] = result
     return [BerRecord(**p, seed=config.seed,
                       ber=p["bit_errors"] / p["total_bits"] if p["error"] is None else 0.0)

@@ -116,6 +116,15 @@ class TestFadingConfig:
         with pytest.raises(ValueError):
             FadingConfig(k_factor=-1.0)
 
+    @pytest.mark.parametrize("field,value", [("speed_kmh", -3.0), ("carrier_freq_ghz", -2.7),
+                                             ("carrier_freq_ghz", 0.0)])
+    def test_out_of_range_mobility_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FadingConfig(**{field: value})
+
+    def test_static_channel_accepted(self):
+        assert FadingConfig(speed_kmh=0.0).max_doppler_hz == 0.0
+
     @pytest.mark.parametrize("field", ["k_factor", "speed_kmh", "carrier_freq_ghz"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, field, value):

@@ -1,6 +1,7 @@
 """Tests for config loading, result emission, plotting, and the CLI."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -47,9 +48,10 @@ class TestLoadConfig:
 
     def test_bandwidth_pair_violation_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("n_rb = 6\nbandwidth_mhz = 20\nsnr_db = 0\n")
-        with pytest.raises(ConfigError, match="resource blocks"):
-            load_config(path)
+        for mhz in ("20", "nan", "NaN"):
+            path.write_text(f"n_rb = 6\nbandwidth_mhz = {mhz}\nsnr_db = 0\n")
+            with pytest.raises(ConfigError, match="resource blocks"):
+                load_config(path)
 
     def test_all_bandwidth_pairs_accepted(self, tmp_path):
         path = tmp_path / "bw.cfg"
@@ -226,6 +228,14 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["speed_kmh = -3", "carrier_freq_ghz = -2.7",
+                                      "carrier_freq_ghz = 0"])
+    def test_validate_out_of_range_mobility_exits_one(self, tmp_path, capsys, line):
+        path = tmp_path / "fading.cfg"
+        path.write_text(f"{line}\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert f"{line.split()[0]} must be >" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [pytest.param("0.0 0\n1.0 nan\n", id="1.0 nan"),
                                       pytest.param("0.0 0\ninf -3\n", id="inf -3"),
                                       "0.0 -4000\n", "0.0 4000\n", "0.0 4000\n1.0 0\n"])
@@ -284,6 +294,26 @@ class TestMain:
         assert "failed: stage 'add_awgn' failed: boom" in captured.out
         assert "ber=" not in captured.out
         assert "error: every sweep point failed" in captured.err
+        assert not out_dir.exists()
+
+    def test_failed_sweep_worker_exits_two(self, small_config, tmp_path, capsys, monkeypatch):
+        import sfbcsim.harness as h
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parent, original = os.getpid(), h._run_points
+
+        def broken(engine, indices):  # fails in the forked child only
+            if os.getpid() != parent:
+                raise KeyError("boom")
+            return original(engine, indices)
+
+        monkeypatch.setattr(h, "_run_points", broken)
+        out_dir = tmp_path / "results"
+        assert main(["sweep", str(small_config), "--out", str(out_dir), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep worker ") and "failed: KeyError: 'boom'" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     def test_jobs_do_not_change_bytes(self, small_config, tmp_path):
