@@ -8,11 +8,13 @@ every combination of 4/16/64-QAM, both pairings and both CSI modes, first at
 its own 6 resource blocks and then again at 50, where a sweep runs one
 trial per stack (168 sweeps).  Each prints
 `preset n_rb qam pairing csi sha256` of its CSV bytes.  Two checkouts that
-must not change an output byte print identical lines:
+must not change an output byte print identical lines.  `sweep_matrix.txt`
+beside this script holds the lines the simulator prints today (numpy 2.4.6),
+so a change that must keep every byte checks against it directly:
 
-    python scripts/sweep_matrix.py old/src > old.txt
-    python scripts/sweep_matrix.py new/src --jobs 2 > new.txt
-    diff old.txt new.txt
+    python scripts/sweep_matrix.py src --jobs 2 | diff scripts/sweep_matrix.txt -
+
+A change that means to alter output bytes regenerates that file and says why.
 """
 
 import argparse

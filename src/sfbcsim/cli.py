@@ -83,8 +83,12 @@ def load_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
+    try:
+        content = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(content.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -108,7 +112,7 @@ def load_config(path) -> ScenarioConfig:
         config = ScenarioConfig(**values)
         for key, text in fixed.items():
             _FIXED_KEYS[key](key, text, config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable env_file
         raise ConfigError(f"{path}: {exc}") from None
     return config
 
@@ -308,8 +312,8 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
     if flag_seed is not None:
         seed, source = flag_seed, "--seed"
     try:
-        return dataclasses.replace(config, seed=seed)
-    except ValueError as exc:
+        return dataclasses.replace(config, seed=seed)  # rereads any env_file
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
@@ -341,7 +345,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
+    config = _resolve_seed(load_config(args.config), None)
     print(f"OK: {args.config} ({config.name}, modulation={config.modulation}, "
           f"environment={config.environment}, {len(config.snr_db)} SNR points)")
     return 0

@@ -14,8 +14,8 @@ data-RE power over the linear SNR, an analytic average (every link has unit
 mean energy), so the noise level never tracks individual fades.  The
 per-grid work is cached once per grid dimensions, pairing and seed, whatever
 the QAM order, CSI mode or tap table: the pilot plan, the used REs' flat
-indices and the pilot values sent there.  A sweep's engine adds its config's
-constellation, fading, bit budget and the channel's phase ramp.
+indices, the pilot values sent there and each pair's index in the estimate.
+A sweep's engine adds its constellation, fading, bit budget and phase ramp.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -56,7 +56,7 @@ import os
 import pickle
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import BinaryIO, NoReturn
 
@@ -71,6 +71,8 @@ from .grid import GridDimensions, ofdm_demodulate, ofdm_modulate, zero_pad  # no
 ANTENNA_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
 ERROR_TARGET = 100  # bit errors after which a sweep point may stop
+
+MAX_SNR_DB = 1000.0  # a configured SNR's magnitude: the noise stage overflows near 3,080 dB
 
 # resource elements per stacked call: eight 6-RB trials ran faster but cost 2 MB
 _STACK_RES = 4096
@@ -186,8 +188,8 @@ class ScenarioConfig:
         object.__setattr__(self, "snr_db", tuple(self.snr_db))
         if not self.snr_db:
             raise ValueError("snr_db list must not be empty")
-        if any(not math.isfinite(s) for s in self.snr_db):
-            raise ValueError("snr_db values must be finite")
+        if any(not abs(s) <= MAX_SNR_DB for s in self.snr_db):  # NaN too
+            raise ValueError(f"snr_db values must lie in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB")
         if self.pairing not in sfbc.PAIRINGS:
             raise ValueError(f"pairing must be one of {sfbc.PAIRINGS}")
         if self.csi not in ("perfect", "estimated"):
@@ -202,6 +204,11 @@ class ScenarioConfig:
         self.dims()
         self.build_environment()
         self.fading()
+        # equal scenarios store, and so hash, equal values
+        for label in ("k_factor", "speed_kmh", "carrier_freq_ghz", "tx_corr", "rx_corr"):
+            object.__setattr__(self, label, float(getattr(self, label)))
+        object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
+        object.__setattr__(self, "environment", chan.canonical_name(self.environment))
 
     def dims(self) -> GridDimensions:
         return GridDimensions(self.n_rb)
@@ -241,7 +248,7 @@ class BerRecord:
     measurement; such records are kept in the sweep result but excluded
     from CSV output (the CSV schema has no error column).  `wall_time` is the
     point's share of every stack it ran in: the stack's time over its width,
-    timed in whichever process ran the point.
+    timed in whichever process ran the point; records compare and hash without it.
     """
 
     snr_db: float
@@ -250,16 +257,17 @@ class BerRecord:
     ber: float
     n_trials: int
     seed: int
-    wall_time: float = 0.0
+    wall_time: float = field(default=0.0, compare=False)
     error: str | None = None
 
 
 @lru_cache(maxsize=16)  # the 168-sweep matrix cycles through 4 grids, a benchmark workload 1
 def _layout(dims: GridDimensions, pairing: str,
-            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray]:
-    """One grid's pilot plan, the flat indices of the REs a receiver reads and
-    each antenna's pilot or null values at the pilots; shared by every QAM
-    order, CSI mode and tap table."""
+            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray, np.ndarray]:
+    """One grid's pilot plan, the flat indices of the REs a receiver reads,
+    each antenna's pilot or null values at the pilots, and each pair's first
+    RE in the estimate's (l, k) order; shared, per grid, pairing and seed, by
+    every QAM order, CSI mode and tap table."""
     pattern = pilots.PilotPattern(dims.n_subcarriers, dims.n_symbols)
     # every SFBC pair of the subframe in transmit order: its two absolute
     # data subcarriers and its OFDM symbol
@@ -276,7 +284,7 @@ def _layout(dims: GridDimensions, pairing: str,
     grid = np.zeros((2, dims.n_subcarriers, dims.n_symbols), dtype=np.complex128)
     grid.reshape(2, -1)[:, used[:2 * l.size]] = 1.0
     pilots.insert_pilots(grid, plan)
-    return plan, used, grid[:, plan.k, plan.l].reshape(2, -1)
+    return plan, used, grid[:, plan.k, plan.l].reshape(2, -1), l * dims.n_subcarriers + k0
 
 
 class _TrialEngine:
@@ -288,15 +296,13 @@ class _TrialEngine:
         self.env = config.build_environment()
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
-        self.pilot_plan, used, pilot_tx = _layout(dims, config.pairing, config.seed)
+        self.pilot_plan, used, pilot_tx, self.re0_estimate = _layout(dims, config.pairing,
+                                                                     config.seed)
         self.phase_ramp = chan.phase_ramp(self.env, dims)
         self.symbols_per_subframe = n_data = used.size - pilot_tx.shape[-1]
-        self.re0, self.re1 = np.split(used[:n_data], 2)
         # a trial's REs and the pilots sent there: only an estimate reads pilots
         self.used, self.pilot_tx = ((used, pilot_tx) if config.csi == "estimated"
                                     else (used[:n_data], pilot_tx[:, :0]))
-        k, l = np.divmod(self.re0, dims.n_symbols)  # estimates are read in (l, k) order
-        self.re0_estimate = l * dims.n_subcarriers + k
         self.width = max(1, _STACK_RES // (dims.n_subcarriers * dims.n_symbols))  # per stack
         self.helper = None  # the noise-drawing executor, while run_sweep runs one
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol

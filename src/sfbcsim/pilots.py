@@ -13,16 +13,14 @@ Estimation is least-squares at the pilots followed by linear interpolation,
 first across frequency then across time, with constant extrapolation
 beyond the outermost pilots.
 
-A `PilotPlan` tabulates once per config the flat (k, l) index and value of
-every pilot and the interpolation weights.  Frequency weights are sparse,
-two per subcarrier (a dense matrix would take megabytes at 100 RB).  Time
-weights stay a dense 14x4 matrix product, whose rounding the output is
+A `PilotPlan` tabulates once per grid and seed the flat (k, l) index and
+value of every pilot and the interpolation weights.  Frequency weights are
+sparse, two per subcarrier (a dense matrix would take megabytes at 100 RB).
+Time weights stay a dense 14x4 matrix product, whose rounding the output is
 pinned to: the two-term sparse form differs in the last bit.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -79,21 +77,16 @@ def pilot_values(pattern: PilotPattern, port: int, seed: int) -> list[np.ndarray
 
 
 class PilotPlan:
-    """One pattern's pilots under one seed: `values` holds each pilot's value."""
+    """One pattern's pilots under one seed: `values` holds each pilot's value,
+    `interpolation` the estimate's weights (lo, w_lo, w_hi, w_time).  Per port, pilot
+    symbol and subcarrier, `lo` indexes the left pilot in the flat (port, pilot)
+    samples, weighted `w_lo` (`w_hi` the next pilot)."""
 
     def __init__(self, pattern: PilotPattern, seed: int):
         self.pattern, self.k, self.l = pattern, pattern.k, pattern.l
         self.values = np.array([np.concatenate(pilot_values(pattern, port, seed))
                                 for port in (0, 1)])
-
-    @cached_property
-    def interpolation(self) -> tuple[np.ndarray, ...]:
-        """(lo, w_lo, w_hi, w_time), built on first use: perfect CSI never needs them.
-
-        Per port, pilot symbol and subcarrier, `lo` indexes the left pilot in the
-        flat (port, pilot) samples, weighted `w_lo` (`w_hi` the next pilot).
-        """
-        n_sc, n_sym = self.pattern.n_subcarriers, self.pattern.n_symbols
+        n_sc, n_sym = pattern.n_subcarriers, pattern.n_symbols
         starts = np.flatnonzero(np.diff(self.l.ravel(), prepend=-1))
         seg, frac = zip(*[_linear_weights(ks, n_sc)
                           for ks in np.split(self.k.ravel(), starts[1:])])
@@ -103,7 +96,7 @@ class PilotPlan:
         w_time = np.zeros((n_sym, len(PILOT_SYMBOLS)))
         w_time[np.arange(n_sym), seg] = 1.0 - f
         w_time[np.arange(n_sym), seg + 1] = f
-        return lo, 1.0 - frac, frac, w_time
+        self.interpolation = lo, 1.0 - frac, frac, w_time
 
 
 def insert_pilots(grids: np.ndarray, plan: PilotPlan) -> np.ndarray:

@@ -247,6 +247,38 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["1000.5", "-1001", "3085", "-4000"])
+    def test_validate_out_of_range_snr_exits_one(self, tmp_path, capsys, snr):
+        path = tmp_path / "snr.cfg"
+        path.write_text(f"snr_db = 0, {snr}\n")
+        assert main(["validate", str(path)]) == 1
+        assert "snr_db values must lie in [-1000, 1000] dB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("fault", ["env_file missing", "env_file a directory",
+                                       "config not UTF-8"])
+    def test_unreadable_file_exits_one(self, tmp_path, capsys, command, fault):
+        path = tmp_path / "faulty.cfg"
+        env_file = {"env_file missing": tmp_path / "none.txt",
+                    "env_file a directory": tmp_path}.get(fault)
+        if env_file is None:
+            path.write_bytes(b"name = caf\xe9\nsnr_db = 0\n")  # Latin-1
+        else:
+            path.write_text(f"env_file = {env_file}\nsnr_db = 0\n")
+        out_dir = tmp_path / "results"
+        assert main([command, str(path)] + ["--out", str(out_dir)] * (command == "sweep")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert str(env_file or "utf-8") in err
+        assert not out_dir.exists()
+
+    def test_validate_negative_seed_env_var_exits_one(self, small_config, monkeypatch, capsys):
+        monkeypatch.setenv("SFBCSIM_SEED", "-5")
+        assert main(["validate", str(small_config)]) == 1
+        assert "SFBCSIM_SEED: seed must be non-negative" in capsys.readouterr().err
+        monkeypatch.setenv("SFBCSIM_SEED", "5")
+        assert main(["validate", str(small_config)]) == 0
+
     def test_unknown_subcommand_exits_one_with_usage(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

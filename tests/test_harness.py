@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -91,10 +92,36 @@ class TestScenarioConfig:
         listed = make_config(snr_db=[6.0, 0.0], max_bits=12_000)
         as_tuple = make_config(snr_db=(6.0, 0.0), max_bits=12_000)
         assert listed == as_tuple and listed.config_hash() == as_tuple.config_hash()
-        records = [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(listed)]
-        assert records == [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(as_tuple)]
+        assert run_sweep(listed) == run_sweep(as_tuple)
         assert run_trial(listed, 6.0, 3) == run_trial(as_tuple, 6.0, 3)
         assert listed.bits_per_trial() == as_tuple.bits_per_trial()
+
+    @pytest.mark.parametrize("snr_db", [1000.5, -1001.0, 3085.0, -4000.0, math.nan, math.inf])
+    def test_snr_beyond_the_noise_stage_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=r"snr_db values must lie in \[-1000, 1000\] dB"):
+            make_config(snr_db=(0.0, snr_db))
+
+    @pytest.mark.parametrize("csi", ["perfect", "estimated"])
+    def test_snr_range_edges_run_clean(self, csi):
+        cfg = make_config(snr_db=(-1000.0, 1000.0), csi=csi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid value on the way
+            assert run_trial(cfg, 1000.0, 1) == (1824, 0)
+            bits, errors = run_trial(cfg, -1000.0, 1)
+        assert bits == 1824 and 800 < errors < 1024  # a coin flip, from finite samples
+
+    def test_equal_scenarios_hash_equal(self):
+        """Equal values, whatever their type or spelling, store and hash as one scenario."""
+        ref = make_config(snr_db=(0.0, 2.0), environment="typical_urban", k_factor=1000.0)
+        for cfg in (make_config(snr_db=(0, 2), environment="TypicalUrban", k_factor=1000),
+                    make_config(snr_db=np.array([0.0, 2.0]), environment="typical-urban"),
+                    make_config(snr_db=[0, 2.0], environment="typical_urban", speed_kmh=3,
+                                carrier_freq_ghz=np.float64(2.7), tx_corr=0.5, rx_corr=0.5)):
+            assert cfg == ref and cfg.config_hash() == ref.config_hash()
+            assert all(type(s) is float for s in cfg.snr_db) and cfg.environment == "typical_urban"
+        assert type(make_config(tx_corr=1, rx_corr=0).rx_corr) is float
+        with pytest.raises(TypeError):
+            make_config(snr_db="0")
 
     def test_config_hash_stable_and_sensitive(self):
         a, b = make_config(), make_config()
@@ -119,9 +146,11 @@ class TestPairMaps:
 
         engine = h._TrialEngine(make_config(n_rb=n_rb, pairing=pairing))
         dims = engine.dims
+        # flat index k * n_symbols + l: the pairs' first REs, then their second
+        re0, re1 = np.split(engine.used[:engine.symbols_per_subframe], 2)
         uses = np.zeros((dims.n_subcarriers, dims.n_symbols), dtype=int)
-        np.add.at(uses.reshape(-1), engine.re0, 1)  # flat index k * n_symbols + l
-        np.add.at(uses.reshape(-1), engine.re1, 1)
+        np.add.at(uses.reshape(-1), re0, 1)
+        np.add.at(uses.reshape(-1), re1, 1)
         pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
         data = np.zeros_like(uses)
         for sym in range(dims.n_symbols):
@@ -131,9 +160,12 @@ class TestPairMaps:
             for sym, k in pattern.pilot_positions(port):
                 assert not uses[k, sym].any()
         # transmit order: symbol by symbol, both REs of a pair in one symbol
-        assert np.all(np.diff(engine.re0 % dims.n_symbols) >= 0)
-        assert np.array_equal(engine.re0 % dims.n_symbols, engine.re1 % dims.n_symbols)
+        assert np.all(np.diff(re0 % dims.n_symbols) >= 0)
+        assert np.array_equal(re0 % dims.n_symbols, re1 % dims.n_symbols)
         assert engine.symbols_per_subframe == int(data.sum())
+        # the estimate is read in (l, k) order, at each pair's first RE
+        k, l = np.divmod(re0, dims.n_symbols)
+        assert np.array_equal(engine.re0_estimate, l * dims.n_subcarriers + k)
 
     def test_data_on_a_pilot_re_fails_the_build(self, monkeypatch):
         """The layout refuses a pair map that puts data on a pilot or null RE,
@@ -410,9 +442,16 @@ class TestRunSweep:
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=30_000)
         serial = run_sweep(cfg, n_jobs=1)
         parallel = run_sweep(cfg, n_jobs=4)
-        for a, b in zip(serial, parallel):
-            assert (a.snr_db, a.total_bits, a.bit_errors, a.n_trials, a.seed) == \
-                   (b.snr_db, b.total_bits, b.bit_errors, b.n_trials, b.seed)
+        assert serial == parallel
+
+    def test_reruns_give_equal_records(self, two_cpus):
+        """Records compare and hash by their measurement, not by their timing."""
+        cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
+        first, again = run_sweep(cfg), run_sweep(cfg)
+        assert first == again == run_sweep(cfg, n_jobs=2)
+        assert [r.wall_time for r in first] != [r.wall_time for r in again]
+        assert {*first, *again} == set(first) and len(set(first)) == 2
+        assert first[0] != dataclasses.replace(first[0], error="boom")
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_no_trial_runs_past_the_stop(self, monkeypatch, tmp_path, two_cpus, n_jobs):
@@ -485,8 +524,7 @@ class TestRunSweep:
         cfg = make_config(snr_db=(0.0, 6.0), max_bits=12_000)
         serial = run_sweep(cfg)
         monkeypatch.delattr(os, "fork", raising=False)
-        assert [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(cfg, n_jobs=2)] == \
-               [dataclasses.replace(r, wall_time=0.0) for r in serial]
+        assert run_sweep(cfg, n_jobs=2) == serial
 
     @needs_fork
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc")
@@ -556,7 +594,7 @@ class TestRunSweep:
         assert records[0].error is not None and "add_awgn" in records[0].error
         assert records[0].total_bits == 0 and records[0].n_trials == 3
         assert records[1].error is None and records[1].total_bits > 0
-        assert records[1] == dataclasses.replace(clean[1], wall_time=records[1].wall_time)
+        assert records[1] == clean[1]
 
     def test_failed_point_in_child_share_matches_serial(self, monkeypatch, two_cpus):
         import sfbcsim.harness as h
@@ -578,10 +616,8 @@ class TestRunSweep:
         assert records[1].error is not None and "add_awgn" in records[1].error
         assert records[1].total_bits == 0 and records[1].n_trials == 3
         assert records[0].error is None and records[0].total_bits > 0
-        assert records[0] == dataclasses.replace(clean[0], wall_time=records[0].wall_time)
-        serial = run_sweep(cfg, n_jobs=1)
-        assert [dataclasses.replace(r, wall_time=0.0) for r in records] == \
-               [dataclasses.replace(r, wall_time=0.0) for r in serial]
+        assert records[0] == clean[0]
+        assert records == run_sweep(cfg, n_jobs=1)
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_undefined_snr_fails_the_trial(self, snr_db):
@@ -608,10 +644,6 @@ class TestRunSweep:
 
 class TestHelperThread:
     """The noise-drawing thread of single-process sweeps of one-trial stacks."""
-
-    @staticmethod
-    def records(cfg, n_jobs=1):
-        return [dataclasses.replace(r, wall_time=0.0) for r in run_sweep(cfg, n_jobs=n_jobs)]
 
     @staticmethod
     def watch(monkeypatch):
@@ -644,7 +676,7 @@ class TestHelperThread:
             before, interval = threading.active_count(), sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
             try:
-                with_helper = self.records(cfg)
+                with_helper = run_sweep(cfg)
             finally:
                 sys.setswitchinterval(interval)
             assert threading.active_count() == before
@@ -655,7 +687,7 @@ class TestHelperThread:
             with monkeypatch.context() as one_cpu:  # no CPU to spare: no helper
                 one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
                 one_cpu.setattr(os, "cpu_count", lambda: 1)
-                assert self.records(cfg) == with_helper
+                assert run_sweep(cfg) == with_helper
             assert set(alive) == {before}
             assert set(drawers) == {threading.main_thread()}
             alive.clear()
@@ -665,7 +697,7 @@ class TestHelperThread:
         import sfbcsim.channel as chan
 
         cfg = make_config(n_rb=50, snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
-        clean = self.records(cfg)
+        clean = run_sweep(cfg)
         original, drawers = chan.draw_noise, []
 
         def flaky(noise, snr_db, reference_power, seed):
@@ -676,7 +708,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(chan, "draw_noise", flaky)
         before = threading.active_count()
-        records = self.records(cfg)
+        records = run_sweep(cfg)
         assert threading.active_count() == before
         assert drawers and threading.main_thread() not in drawers
         # the 6 dB point fails at its first trial; the others run as before
@@ -731,7 +763,7 @@ class TestHelperThread:
                                                                n_rb, n_jobs):
         alive, drawers = self.watch(monkeypatch)
         before = threading.active_count()
-        self.records(make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000), n_jobs)
+        run_sweep(make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000), n_jobs)
         assert alive and set(alive) == {before}
         if n_jobs == 1:  # a forked share's draws are not seen here
             assert set(drawers) == {threading.main_thread()}
