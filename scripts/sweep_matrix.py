@@ -5,8 +5,8 @@ usage: python scripts/sweep_matrix.py SRC_DIR [--jobs N]
 SRC_DIR is the `src` directory of a checkout; the `sfbcsim` package and its
 presets are imported from there.  Each of the 7 presets runs at seed 1 for
 every combination of 4/16/64-QAM, both pairings and both CSI modes, first at
-its own 6 resource blocks and then again at 50, where a sweep runs one
-trial per stack (168 sweeps).  Each prints
+its own 6 resource blocks, then again at 15, where a stack holds six trials,
+and at 50, where it holds one (252 sweeps).  Each prints
 `preset n_rb qam pairing csi sha256` of its CSV bytes.  Two checkouts that
 must not change an output byte print identical lines.  `sweep_matrix.txt`
 beside this script holds the lines the simulator prints today (numpy 2.4.6),
@@ -43,10 +43,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "sweep.csv"
         presets = sorted((package / "presets").glob("*.cfg"))
-        for wide, preset in itertools.product((False, True), presets):
+        for n_rb, preset in itertools.product((None, 15, 50), presets):
             base = sfbcsim.load_config(preset)
-            if wide:
-                base = dataclasses.replace(base, n_rb=50)
+            if n_rb:
+                base = dataclasses.replace(base, n_rb=n_rb)
             for qam, pairing, csi in itertools.product((4, 16, 64), ("adjacent", "mirror"),
                                                        ("perfect", "estimated")):
                 config = dataclasses.replace(base, modulation=qam, pairing=pairing,

@@ -243,12 +243,13 @@ def apply_channel(tx_grids: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("...mnkt,...mkt->...nkt", h, tx_grids)
 
 
-def draw_noise(noise: np.ndarray, snr_db, reference_power: float, seed) -> np.ndarray:
-    """Fill float `noise` (stack, ..., 2) with add_awgn's noise; return it as complex."""
+def draw_noise(shape, snr_db, reference_power: float, seed) -> np.ndarray:
+    """add_awgn's noise for a stack of signals of `shape` (stack, ...), in a new array."""
     if reference_power <= 0:
         raise ValueError(f"reference power must be positive, got {reference_power}")
-    if not len(snr_db) == len(seed) == len(noise):
-        raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {len(noise)} signals")
+    if not len(snr_db) == len(seed) == shape[0]:
+        raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {shape[0]} signals")
+    noise = np.empty(tuple(shape) + (2,))
     for b, (snr, s) in enumerate(zip(snr_db, seed)):
         if snr is None or snr == math.inf:
             noise[b] = 0.0
@@ -271,6 +272,6 @@ def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.nda
     """
     if np.ndim(seed) == 0:
         return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]
-    out = draw_noise(np.empty(np.shape(signal) + (2,)), snr_db, reference_power, seed)
+    out = draw_noise(np.shape(signal), snr_db, reference_power, seed)
     out += signal
     return out

@@ -35,13 +35,13 @@ to w processes: the calling one, and w - 1 children made with os.fork that
 inherit the sweep's engine and send their points back pickled over a pipe.
 A trial's seed depends on (i, t) alone, so no output byte depends on w.
 Each share runs as a wavefront: step t runs trial t of every point still
-open, in stacks of at most _STACK_RES resource elements (four 6-RB trials,
-or one trial at 15 RB and above).  A point adds its results in trial order
-and closes at the first trial that meets the stopping rule, so exactly the
-serial set of trials runs.  Each trial draws its streams from its own
-generators and each stacked stage treats every trial alone, so no output
-byte depends on how trials are stacked.  A sweep of one-trial stacks in one
-process, with a usable CPU to spare, starts a one-thread executor that
+open, in stacks of at most _STACK_RES resource elements (16 trials at 6 RB,
+6 at 15 RB, 3 at 25 RB, 1 at 50 RB and above).  A point adds its results in
+trial order and closes at the first trial that meets the stopping rule, so
+exactly the serial set of trials runs.  Each trial draws its streams from
+its own generators and each stacked stage treats every trial alone, so no
+output byte depends on how trials are stacked.  A sweep in one process,
+with a usable CPU to spare, starts a one-thread executor that allocates and
 draws each stack's noise while the caller builds its signal; its thread
 starts before the first stack, never runs while run_sweep forks, and is
 joined before run_sweep returns.
@@ -74,8 +74,8 @@ ERROR_TARGET = 100  # bit errors after which a sweep point may stop
 
 MAX_SNR_DB = 1000.0  # a configured SNR's magnitude: the noise stage overflows near 3,080 dB
 
-# resource elements per stacked call: eight 6-RB trials ran faster but cost 2 MB
-_STACK_RES = 4096
+# resource elements per stacked call: per-trial cost flattens at sixteen 6-RB trials
+_STACK_RES = 16384
 
 _PILOT_STREAM = 0
 _TRIAL_STREAM = 1
@@ -324,35 +324,36 @@ class _TrialEngine:
             *[[np.random.Generator(np.random.PCG64(_StoredState(w))) for w in row]
               for row in states])
         # the whole grid's noise, as its stream holds it; the helper thread, if
-        # any, draws it while this one builds the signal
+        # any, allocates and draws it while this one builds the signal
         draw = partial(_stage, "add_awgn", chan.draw_noise,
-                       np.empty((n, 2, dims.n_subcarriers * dims.n_symbols, 2)),
+                       (n, 2, dims.n_subcarriers * dims.n_symbols),
                        snr_db, self.reference_power, noise_rngs)
         if self.helper:
             draw = self.helper.submit(draw).result
-        bits = np.stack([_stage("generate_bits", modem.generate_bits,
-                                self.bits_per_subframe, rng) for rng in bit_rngs])
-        symbols = _stage("modulate", modem.modulate, bits, self.constellation)
-
-        # no OFDM round trip: the channel acts on the grid (see the module docstring),
-        # here on the used REs taken as one subcarrier's symbols
+        # no OFDM round trip: the channel acts on the grid (see the module docstring), here
+        # on the used REs taken as one subcarrier's symbols; first, while few arrays are alive
         h = _stage("realize_channel", chan.realize_channel, self.env, self.fading, dims,
                    channel_rngs, self.phase_ramp)
         h = np.take(h.reshape(n, 2, 2, 1, -1), self.used, axis=-1)
+        bits = np.stack([_stage("generate_bits", modem.generate_bits,
+                                self.bits_per_subframe, rng) for rng in bit_rngs])
+        symbols = _stage("modulate", modem.modulate, bits, self.constellation)
         # each antenna's values at the used REs: the pairs', then pilots and nulls
-        tx = np.concatenate([*_stage("sfbc_encode", sfbc.sfbc_encode, symbols[:, 0::2],
-                                     symbols[:, 1::2]),
-                             np.broadcast_to(self.pilot_tx, (n,) + self.pilot_tx.shape)], axis=-1)
+        tx = _stage("sfbc_encode", sfbc.sfbc_encode, symbols[:, 0::2], symbols[:, 1::2])
+        del symbols
+        tx = np.concatenate([*tx, np.broadcast_to(self.pilot_tx, (n,) + self.pilot_tx.shape)],
+                            axis=-1)
         tx *= ANTENNA_AMPLITUDE
         received = _stage("apply_channel", chan.apply_channel, tx[..., None, :], h)[..., 0, :]
         del tx  # the transmit side is done: keep few of the stack's arrays alive
-        received += np.take(draw(), self.used, axis=-1)
-
         # channel taken at the pair's first RE, assumed constant across the pair
         n_data = self.symbols_per_subframe
         if self.config.csi == "perfect":
             h_pair = h[..., 0, :n_data // 2] * ANTENNA_AMPLITUDE
-        del h, draw  # and the noise buffer: a trial peaks in memory from here
+        del h  # before the noise is added, where a trial would peak in memory
+        received += np.take(draw(), self.used, axis=-1)
+        del draw  # and the noise buffer, which the helper's future holds
+
         if self.config.csi == "estimated":
             samples = _stage("estimate_channel", pilots.normalize_pilots,
                              received[..., n_data:].reshape(n, 2, 2, -1), plan.values)
@@ -362,9 +363,10 @@ class _TrialEngine:
                              self.re0_estimate, axis=-1).swapaxes(-3, -2)
         # y[b, receive antenna, first or second RE of the pair, pair]
         y = received[..., :n_data].reshape(n, 2, 2, -1)
-        x0, x1 = _stage("sfbc_decode", sfbc.sfbc_decode, y[:, 0, 0], y[:, 1, 0],
-                        y[:, 0, 1], y[:, 1, 1], np.moveaxis(h_pair, -1, -3))
-        decoded = sfbc.interleave_pairs(x0, x1)
+        decoded = sfbc.interleave_pairs(*_stage("sfbc_decode", sfbc.sfbc_decode, y[:, 0, 0],
+                                                y[:, 1, 0], y[:, 0, 1], y[:, 1, 1],
+                                                np.moveaxis(h_pair, -1, -3)))
+        del received, y, h_pair  # demapping reads only the decoded symbols
 
         rx_bits = _stage("demodulate", modem.demodulate, decoded, self.constellation)
         errors, _ = _stage("bit_errors", modem.bit_errors, bits, rx_bits.reshape(bits.shape))
@@ -473,7 +475,7 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
     points, pids, pipes = [None] * n, [], []
     try:
-        if workers == 1 < (cpus or 1) and engine.width == 1:  # see the module docstring
+        if workers == 1 < (cpus or 1):  # see the module docstring
             from concurrent.futures import ThreadPoolExecutor  # here only: few sweeps need it
             engine.helper = ThreadPoolExecutor(1)
             engine.helper.submit(int)  # a no-op that starts its thread for the whole sweep

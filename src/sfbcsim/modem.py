@@ -56,11 +56,12 @@ class QamConstellation:
 
 
 def generate_bits(count: int, seed: int) -> np.ndarray:
-    """Return `count` i.i.d. uniform bits, reproducible from `seed`."""
+    """`count` i.i.d. uniform bits from `seed`, bit for bit those of integers(0, 2, count,
+    np.uint8), whose rejection-free draw for a range of two keeps each raw byte's top bit."""
     if count <= 0:
         raise ValueError(f"bit count must be positive, got {count}")
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=count, dtype=np.uint8)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-count // 8))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:count] >> 7
 
 
 def modulate(bits: np.ndarray, constellation: QamConstellation) -> np.ndarray:

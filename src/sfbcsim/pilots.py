@@ -146,7 +146,8 @@ def interpolate_channel(samples: np.ndarray, plan: PilotPlan) -> np.ndarray:
     if samples.shape[-2:] != plan.k.shape:
         raise ValueError(f"expected samples of shape (..., {plan.k.shape}), got {samples.shape}")
     flat = samples.reshape(samples.shape[:-2] + (-1,))
-    per_symbol = w_lo * flat[..., lo] + w_hi * flat[..., lo + 1]
+    # np.take keeps the sample axes outermost, where flat[..., lo] puts lo's first
+    per_symbol = w_lo * np.take(flat, lo, axis=-1) + w_hi * np.take(flat, lo + 1, axis=-1)
     return np.swapaxes(w_time @ per_symbol, -1, -2)
 
 

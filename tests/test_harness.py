@@ -212,7 +212,7 @@ class TestStageCounts:
     @pytest.mark.parametrize("n_rb", [6, 50])
     def test_one_noise_draw_and_channel_contraction_per_stack(self, monkeypatch, n_rb):
         """However wide a stack, its noise is drawn and its channel applied by
-        one call each, in a sweep (with its helper thread at 50 RB) as alone."""
+        one call each, in a sweep (with its helper thread) as alone."""
         import sfbcsim.channel as chan
         import sfbcsim.harness as h
 
@@ -350,13 +350,44 @@ class TestAgainstTrialOracle:
             trial_oracle.run_trial(cfg, snr_db, trial_seed)
 
     @settings(max_examples=30, deadline=None)
-    @given(cfg=configs, trials=st.lists(st.tuples(snrs, trial_seeds), min_size=1, max_size=7))
+    @given(cfg=configs, trials=st.lists(st.tuples(snrs, trial_seeds), min_size=1, max_size=16))
     def test_stacked_run_matches_oracle(self, cfg, trials):
         import sfbcsim.harness as h
 
         snr_db, seeds = zip(*trials)
         assert h._TrialEngine(cfg).run(snr_db, trial_states(seeds)) == \
             [trial_oracle.run_trial(cfg, snr, seed) for snr, seed in trials]
+
+
+class TestStackWidth:
+    """A stack's width follows from its resource-element budget, and its
+    working set stays within a bound per trial."""
+
+    @pytest.mark.parametrize("n_rb,width", [(6, 16), (15, 6), (25, 3), (50, 1), (75, 1),
+                                            (100, 1)])
+    def test_trials_per_stack(self, n_rb, width):
+        import sfbcsim.harness as h
+
+        assert h._TrialEngine(make_config(n_rb=n_rb)).width == width
+
+    def test_wide_stack_peak_memory_per_trial(self):
+        """A full 6-RB stack with estimated CSI peaks at no more traced memory a
+        trial than four-trial stacks did (207 KiB) before the stacks widened."""
+        import tracemalloc
+
+        import sfbcsim.harness as h
+
+        engine = h._TrialEngine(make_config())
+        snr_db, states = [10.0] * engine.width, trial_states(range(engine.width))
+        engine.run(snr_db, states)  # whatever a first run sets up stays out of the trace
+        tracemalloc.start()
+        try:
+            engine.run(snr_db, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.width == 16
+        assert peak <= 207 * 1024 * engine.width
 
 
 class TestRunTrial:
@@ -492,7 +523,7 @@ class TestRunSweep:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        # five 6-RB points: stacks of four, then one
+        # five 6-RB points: one stack of five a step, while all are open
         records = run_sweep(make_config(snr_db=(0.0, 2.0, 4.0, 6.0, 8.0), max_bits=12_000))
         assert calls["trials"] == sum(r.n_trials for r in records)
         assert calls["generate_bits"] == calls["trials"]
@@ -643,7 +674,7 @@ class TestRunSweep:
 
 
 class TestHelperThread:
-    """The noise-drawing thread of single-process sweeps of one-trial stacks."""
+    """The noise-drawing thread of single-process sweeps."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -670,8 +701,8 @@ class TestHelperThread:
 
     def test_same_records_with_and_without_the_helper(self, monkeypatch, two_cpus):
         alive, drawers = self.watch(monkeypatch)
-        for csi in ("perfect", "estimated"):
-            cfg = make_config(n_rb=50, environment="typical_urban", csi=csi,
+        for n_rb, csi in [(6, "perfect"), (6, "estimated"), (50, "perfect"), (50, "estimated")]:
+            cfg = make_config(n_rb=n_rb, environment="typical_urban", csi=csi,
                               snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
             before, interval = threading.active_count(), sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
@@ -696,25 +727,33 @@ class TestHelperThread:
     def test_failed_noise_draw_fails_its_point_only(self, monkeypatch, two_cpus):
         import sfbcsim.channel as chan
 
-        cfg = make_config(n_rb=50, snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
-        clean = run_sweep(cfg)
-        original, drawers = chan.draw_noise, []
+        original = chan.draw_noise
+        # sixteen 6-RB points fill one stack; 50-RB stacks hold one trial
+        for n_rb, snrs in [(6, tuple(2.0 * np.arange(16))), (50, (0.0, 6.0, 12.0))]:
+            cfg = make_config(n_rb=n_rb, snr_db=snrs, max_bits=50_000)
+            clean = run_sweep(cfg)
+            drawers, widths = [], []
 
-        def flaky(noise, snr_db, reference_power, seed):
-            drawers.append(threading.current_thread())
-            if list(snr_db) == [6.0]:
-                raise ValueError("boom")
-            return original(noise, snr_db, reference_power, seed)
+            def flaky(shape, snr_db, reference_power, seed):
+                drawers.append(threading.current_thread())
+                widths.append(len(snr_db))
+                if 6.0 in snr_db:
+                    raise ValueError("boom")
+                return original(shape, snr_db, reference_power, seed)
 
-        monkeypatch.setattr(chan, "draw_noise", flaky)
-        before = threading.active_count()
-        records = run_sweep(cfg)
-        assert threading.active_count() == before
-        assert drawers and threading.main_thread() not in drawers
-        # the 6 dB point fails at its first trial; the others run as before
-        assert records[1].error == "stage 'add_awgn' failed: boom"
-        assert records[1].total_bits == 0 and records[1].n_trials == 0
-        assert [records[0], records[2]] == [clean[0], clean[2]]
+            with monkeypatch.context() as patched:
+                patched.setattr(chan, "draw_noise", flaky)
+                before = threading.active_count()
+                records = run_sweep(cfg)
+            assert threading.active_count() == before
+            assert drawers and threading.main_thread() not in drawers
+            # the 6 dB point fails at its first trial; the others run as before
+            k = snrs.index(6.0)
+            assert records[k].error == "stage 'add_awgn' failed: boom"
+            assert records[k].total_bits == 0 and records[k].n_trials == 0
+            assert records[:k] + records[k + 1:] == clean[:k] + clean[k + 1:]
+            if n_rb == 6:  # the failed stack, each of its trials alone, then the rest
+                assert widths[:18] == [16] + [1] * 16 + [15]
 
     def test_no_thread_outlives_a_failed_sweep(self, monkeypatch, two_cpus):
         import sfbcsim.channel as chan
@@ -759,14 +798,16 @@ class TestHelperThread:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n_rb,n_jobs", [(6, 1), (6, 2), (50, 2)])
-    def test_no_thread_without_one_trial_stacks_in_one_process(self, monkeypatch, two_cpus,
-                                                               n_rb, n_jobs):
+    def test_helper_thread_only_in_one_process(self, monkeypatch, two_cpus, n_rb, n_jobs):
         alive, drawers = self.watch(monkeypatch)
         before = threading.active_count()
         run_sweep(make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000), n_jobs)
-        assert alive and set(alive) == {before}
-        if n_jobs == 1:  # a forked share's draws are not seen here
-            assert set(drawers) == {threading.main_thread()}
+        assert threading.active_count() == before
+        if n_jobs == 1:  # a stack of several trials draws on the helper too
+            assert set(alive) == {before + 1}
+            assert drawers and threading.main_thread() not in drawers
+        else:  # a forking sweep starts none; a forked share's draws are not seen here
+            assert alive and set(alive) == {before}
 
 
 class TestEndToEndAgainstTheory:

@@ -101,6 +101,17 @@ class TestGenerateBits:
         with pytest.raises(ValueError):
             generate_bits(0, seed=1)
 
+    @given(seed=st.integers(0, 2**128), count=st.integers(1, 6000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_integers(self, seed, count):
+        """The raw-word form draws numpy's own uniform bits, counts short of a
+        whole word included, from an int seed as from a fresh generator."""
+        expected = np.random.default_rng(seed).integers(0, 2, size=count, dtype=np.uint8)
+        for source in (seed, np.random.default_rng(seed)):
+            bits = generate_bits(count, source)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, expected)
+
 
 class TestModulate:
     def test_qpsk_reference_point(self):
