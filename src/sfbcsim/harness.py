@@ -40,11 +40,8 @@ open, in stacks of at most _STACK_RES resource elements (16 trials at 6 RB,
 trial order and closes at the first trial that meets the stopping rule, so
 exactly the serial set of trials runs.  Each trial draws its streams from
 its own generators and each stacked stage treats every trial alone, so no
-output byte depends on how trials are stacked.  A sweep in one process,
-with a usable CPU to spare, starts a one-thread executor that allocates and
-draws each stack's noise while the caller builds its signal; its thread
-starts before the first stack, never runs while run_sweep forks, and is
-joined before run_sweep returns.
+output byte depends on how trials are stacked.  Each process runs its
+trials on its one calling thread.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import pickle
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import BinaryIO, NoReturn
 
 import numpy as np
@@ -261,7 +258,7 @@ class BerRecord:
     error: str | None = None
 
 
-@lru_cache(maxsize=16)  # the 168-sweep matrix cycles through 4 grids, a benchmark workload 1
+@lru_cache(maxsize=16)  # the 252-sweep matrix cycles through 6 grids, a benchmark workload 1
 def _layout(dims: GridDimensions, pairing: str,
             seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray, np.ndarray]:
     """One grid's pilot plan, the flat indices of the REs a receiver reads,
@@ -304,7 +301,6 @@ class _TrialEngine:
         self.used, self.pilot_tx = ((used, pilot_tx) if config.csi == "estimated"
                                     else (used[:n_data], pilot_tx[:, :0]))
         self.width = max(1, _STACK_RES // (dims.n_subcarriers * dims.n_symbols))  # per stack
-        self.helper = None  # the noise-drawing executor, while run_sweep runs one
         self.bits_per_subframe = self.symbols_per_subframe * self.constellation.bits_per_symbol
         # default sample budget: four frames of ten subframes of payload
         self.max_bits = (config.max_bits if config.max_bits is not None
@@ -323,13 +319,6 @@ class _TrialEngine:
         bit_rngs, channel_rngs, noise_rngs = zip(
             *[[np.random.Generator(np.random.PCG64(_StoredState(w))) for w in row]
               for row in states])
-        # the whole grid's noise, as its stream holds it; the helper thread, if
-        # any, allocates and draws it while this one builds the signal
-        draw = partial(_stage, "add_awgn", chan.draw_noise,
-                       (n, 2, dims.n_subcarriers * dims.n_symbols),
-                       snr_db, self.reference_power, noise_rngs)
-        if self.helper:
-            draw = self.helper.submit(draw).result
         # no OFDM round trip: the channel acts on the grid (see the module docstring), here
         # on the used REs taken as one subcarrier's symbols; first, while few arrays are alive
         h = _stage("realize_channel", chan.realize_channel, self.env, self.fading, dims,
@@ -351,8 +340,11 @@ class _TrialEngine:
         if self.config.csi == "perfect":
             h_pair = h[..., 0, :n_data // 2] * ANTENNA_AMPLITUDE
         del h  # before the noise is added, where a trial would peak in memory
-        received += np.take(draw(), self.used, axis=-1)
-        del draw  # and the noise buffer, which the helper's future holds
+        # the whole grid's noise, as its stream holds it
+        noise = _stage("add_awgn", chan.draw_noise, (n, 2, dims.n_subcarriers * dims.n_symbols),
+                       snr_db, self.reference_power, noise_rngs)
+        received += np.take(noise, self.used, axis=-1)
+        del noise
 
         if self.config.csi == "estimated":
             samples = _stage("estimate_channel", pilots.normalize_pilots,
@@ -407,9 +399,9 @@ def _run_points(engine: _TrialEngine, indices: Sequence[int]) -> list[dict]:
     config, max_bits, width = engine.config, engine.max_bits, engine.width
     # trials seeded per pass: no more than a point can run, and at most 64
     block = min(64, -(-max_bits // engine.bits_per_subframe))
-    order = np.argsort(np.asarray(config.snr_db, dtype=float), kind="stable")
-    points = {i: dict(snr_db=float(config.snr_db[order[i]]), total_bits=0, bit_errors=0,
-                      n_trials=0, wall_time=0.0, error=None) for i in indices}
+    snrs = sorted(config.snr_db)
+    points = {i: dict(snr_db=snrs[i], total_bits=0, bit_errors=0, n_trials=0, wall_time=0.0,
+                      error=None) for i in indices}
     open_points, t = list(points), 0
     while open_points:
         if t % block == 0:  # the next block's generator states of every open point
@@ -475,10 +467,6 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
     workers = min(n_jobs, cpus or 1, n) if hasattr(os, "fork") else 1
     points, pids, pipes = [None] * n, [], []
     try:
-        if workers == 1 < (cpus or 1):  # see the module docstring
-            from concurrent.futures import ThreadPoolExecutor  # here only: few sweeps need it
-            engine.helper = ThreadPoolExecutor(1)
-            engine.helper.submit(int)  # a no-op that starts its thread for the whole sweep
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
@@ -494,8 +482,6 @@ def run_sweep(config: ScenarioConfig, n_jobs: int = 1) -> list[BerRecord]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        if engine.helper:
-            engine.helper.shutdown()
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]

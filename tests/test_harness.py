@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import os
-import sys
 import threading
 import time
 import warnings
@@ -212,7 +211,7 @@ class TestStageCounts:
     @pytest.mark.parametrize("n_rb", [6, 50])
     def test_one_noise_draw_and_channel_contraction_per_stack(self, monkeypatch, n_rb):
         """However wide a stack, its noise is drawn and its channel applied by
-        one call each, in a sweep (with its helper thread) as alone."""
+        one call each, in a sweep as alone."""
         import sfbcsim.channel as chan
         import sfbcsim.harness as h
 
@@ -449,6 +448,11 @@ class TestRunSweep:
         cfg = make_config(snr_db=(8.0, 0.0, 4.0))
         records = run_sweep(cfg)
         assert [r.snr_db for r in records] == [0.0, 4.0, 8.0]
+        # 0.0 and -0.0 compare equal: the ascending order keeps them as listed
+        for snrs, signs in [((6.0, -0.0, 0.0), [-1.0, 1.0, 1.0]),
+                            ((0.0, -0.0, 6.0), [1.0, -1.0, 1.0])]:
+            records = run_sweep(make_config(snr_db=snrs, max_bits=10_000))
+            assert [math.copysign(1.0, r.snr_db) for r in records] == signs
 
     def test_monotone_up_to_mc_noise(self):
         cfg = make_config(snr_db=tuple(float(s) for s in range(0, 13, 2)))
@@ -673,56 +677,16 @@ class TestRunSweep:
         assert high.ber > low.ber
 
 
-class TestHelperThread:
-    """The noise-drawing thread of single-process sweeps."""
+class Abort(BaseException):
+    """Raised by a patched stage; no `except Exception` in the harness catches it."""
 
-    @staticmethod
-    def watch(monkeypatch):
-        """Threads alive (the caller's count) during each stack run by this process,
-        and each thread that drew noise."""
-        import sfbcsim.channel as chan
-        import sfbcsim.harness as h
 
-        alive, drawers, parent = [], [], os.getpid()
-        original_run, original_draw = h._TrialEngine.run, chan.draw_noise
+def abort(*args, **kwargs):
+    raise Abort
 
-        def watched_run(self, snr_db, states):
-            if os.getpid() == parent:
-                alive.append(threading.active_count())
-            return original_run(self, snr_db, states)
 
-        def watched_draw(*args):
-            drawers.append(threading.current_thread())
-            return original_draw(*args)
-
-        monkeypatch.setattr(h._TrialEngine, "run", watched_run)
-        monkeypatch.setattr(chan, "draw_noise", watched_draw)
-        return alive, drawers
-
-    def test_same_records_with_and_without_the_helper(self, monkeypatch, two_cpus):
-        alive, drawers = self.watch(monkeypatch)
-        for n_rb, csi in [(6, "perfect"), (6, "estimated"), (50, "perfect"), (50, "estimated")]:
-            cfg = make_config(n_rb=n_rb, environment="typical_urban", csi=csi,
-                              snr_db=(0.0, 6.0, 12.0), max_bits=50_000)
-            before, interval = threading.active_count(), sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
-            try:
-                with_helper = run_sweep(cfg)
-            finally:
-                sys.setswitchinterval(interval)
-            assert threading.active_count() == before
-            assert set(alive) == {before + 1}
-            assert drawers and threading.main_thread() not in drawers
-            alive.clear()
-            drawers.clear()
-            with monkeypatch.context() as one_cpu:  # no CPU to spare: no helper
-                one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-                one_cpu.setattr(os, "cpu_count", lambda: 1)
-                assert run_sweep(cfg) == with_helper
-            assert set(alive) == {before}
-            assert set(drawers) == {threading.main_thread()}
-            alive.clear()
-            drawers.clear()
+class TestOneThread:
+    """Each process runs its trials, noise draws included, on its calling thread."""
 
     def test_failed_noise_draw_fails_its_point_only(self, monkeypatch, two_cpus):
         import sfbcsim.channel as chan
@@ -743,10 +707,8 @@ class TestHelperThread:
 
             with monkeypatch.context() as patched:
                 patched.setattr(chan, "draw_noise", flaky)
-                before = threading.active_count()
                 records = run_sweep(cfg)
-            assert threading.active_count() == before
-            assert drawers and threading.main_thread() not in drawers
+            assert set(drawers) == {threading.current_thread()}
             # the 6 dB point fails at its first trial; the others run as before
             k = snrs.index(6.0)
             assert records[k].error == "stage 'add_awgn' failed: boom"
@@ -755,59 +717,37 @@ class TestHelperThread:
             if n_rb == 6:  # the failed stack, each of its trials alone, then the rest
                 assert widths[:18] == [16] + [1] * 16 + [15]
 
-    def test_no_thread_outlives_a_failed_sweep(self, monkeypatch, two_cpus):
-        import sfbcsim.channel as chan
-
-        class Abort(BaseException):
-            pass
-
-        def aborted(*args, **kwargs):  # while the helper draws the stack's noise
-            raise Abort
-
-        monkeypatch.setattr(chan, "realize_channel", aborted)
-        before = threading.active_count()
-        with pytest.raises(Abort):
-            run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
-        assert threading.active_count() == before
-
     def test_any_exception_of_a_noise_draw_reaches_the_caller(self, monkeypatch, two_cpus):
         import sfbcsim.channel as chan
 
-        class Abort(BaseException):
-            pass
+        monkeypatch.setattr(chan, "draw_noise", abort)
+        with pytest.raises(Abort):
+            run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
 
-        drawers, caught = [], []
+    @pytest.mark.parametrize("n_rb,n_jobs", [(6, 1), (6, 2), (50, 1), (50, 2)])
+    def test_no_sweep_starts_a_thread(self, monkeypatch, two_cpus, n_rb, n_jobs):
+        """Threads alive during each stack this process runs, and after the sweep,
+        whether it returns or raises; a forked share's stacks are not seen here."""
+        import sfbcsim.channel as chan
+        import sfbcsim.harness as h
 
-        def aborted(*args, **kwargs):
-            drawers.append(threading.current_thread())
-            raise Abort
+        alive, parent, original_run = [], os.getpid(), h._TrialEngine.run
 
-        def sweep():
-            try:
-                run_sweep(make_config(n_rb=50, snr_db=(0.0, 6.0), max_bits=50_000))
-            except Abort as exc:
-                caught.append(exc)
+        def watched_run(self, snr_db, states):
+            if os.getpid() == parent:
+                alive.append(threading.active_count())
+            return original_run(self, snr_db, states)
 
-        monkeypatch.setattr(chan, "draw_noise", aborted)
+        monkeypatch.setattr(h._TrialEngine, "run", watched_run)
+        cfg = make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000)
         before = threading.active_count()
-        caller = threading.Thread(target=sweep, daemon=True)  # a hung caller must not hang pytest
-        caller.start()
-        caller.join(timeout=60)
-        assert len(caught) == 1 and drawers and caller not in drawers
-        assert not caller.is_alive()
+        run_sweep(cfg, n_jobs)
+        assert alive and set(alive) == {before}
         assert threading.active_count() == before
-
-    @pytest.mark.parametrize("n_rb,n_jobs", [(6, 1), (6, 2), (50, 2)])
-    def test_helper_thread_only_in_one_process(self, monkeypatch, two_cpus, n_rb, n_jobs):
-        alive, drawers = self.watch(monkeypatch)
-        before = threading.active_count()
-        run_sweep(make_config(n_rb=n_rb, snr_db=(0.0, 6.0, 12.0), max_bits=30_000), n_jobs)
+        monkeypatch.setattr(chan, "realize_channel", abort)
+        with pytest.raises(Abort):
+            run_sweep(cfg, n_jobs)
         assert threading.active_count() == before
-        if n_jobs == 1:  # a stack of several trials draws on the helper too
-            assert set(alive) == {before + 1}
-            assert drawers and threading.main_thread() not in drawers
-        else:  # a forking sweep starts none; a forked share's draws are not seen here
-            assert alive and set(alive) == {before}
 
 
 class TestEndToEndAgainstTheory:
