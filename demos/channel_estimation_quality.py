@@ -22,7 +22,7 @@ from sfbcsim import (GridDimensions, PilotPattern, PilotPlan, ScenarioConfig,
 
 def estimator_rms_vs_snr():
     dims = GridDimensions(6)
-    plan = PilotPlan(PilotPattern(dims.n_subcarriers, dims.n_symbols), seed=11)
+    plan = PilotPlan(PilotPattern(dims.n_subcarriers), seed=11)
     h = np.array([[1.0 + 0.2j, 0.4 - 0.6j], [-0.3 + 0.8j, 0.7 + 0.1j]])
     tx = insert_pilots(np.zeros((2, 72, 14), dtype=complex), plan)
     clean = np.einsum("mn,mkt->nkt", h, tx)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def build_environment(name: str) -> RadioEnvironment:
 def load_environment_file(path) -> RadioEnvironment:
     """Read a user-defined tap table: one `delay_us power_db` pair per line."""
     delays, powers = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -143,6 +144,8 @@ class FadingConfig:
         for label, value in (("tx_corr", self.tx_corr), ("rx_corr", self.rx_corr)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{label} must lie in [0, 1], got {value}")
+        if not math.isfinite(2 * math.pi * self.max_doppler_hz):  # then every phase is finite
+            raise ValueError("speed_kmh and carrier_freq_ghz give an infinite Doppler shift")
 
     @property
     def max_doppler_hz(self) -> float:
@@ -177,15 +180,16 @@ def _jakes_process(angles: np.ndarray, shape: tuple[int, ...],
     return scale * (np.cos(arg_i).sum(axis=-2) + 1j * np.cos(arg_q).sum(axis=-2))
 
 
+@lru_cache(maxsize=16)  # the 252-sweep matrix: 5 tap tables (awgn_only has none) x 3 grids
 def phase_ramp(env: RadioEnvironment, dims: GridDimensions) -> np.ndarray:
-    """e^{-j2πfτ_i} per subcarrier and tap, shape (n_subcarriers, taps)."""
-    return np.exp(-2j * np.pi * np.outer(dims.subcarrier_freqs_hz(),
-                                         np.asarray(env.delays_s)))
+    """e^{-j2πfτ_i} per subcarrier and tap, shape (n_subcarriers, taps); read-only, shared."""
+    ramp = np.exp(-2j * np.pi * np.outer(dims.subcarrier_freqs_hz(), np.asarray(env.delays_s)))
+    ramp.flags.writeable = False
+    return ramp
 
 
 def realize_channel(env: RadioEnvironment, fading: FadingConfig,
-                    dims: GridDimensions, seed,
-                    ramp: np.ndarray | None = None) -> np.ndarray:
+                    dims: GridDimensions, seed) -> np.ndarray:
     """Draw one deterministic channel realization for a subframe: the per-link
     complex gains h, shape (2 tx, 2 rx, n_subcarriers, n_symbols).
 
@@ -193,13 +197,12 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     Doppler spectrum; the line-of-sight share of the K factor rides on tap
     zero only, identical on every link.  Taps are then collapsed onto the
     subcarriers through the delay-response sum H(f) = sum_i g_i e^{-j2πfτ_i}.
-    A caller drawing many realizations passes ``phase_ramp(env, dims)`` as
-    `ramp`, computed once.  The AwgnOnly environment is the identity channel.
+    The AwgnOnly environment is the identity channel.
     A sequence of seeds (or Generators) stacks one realization per seed on a
     leading axis, each drawn from its own generator exactly as if alone.
     """
     if np.ndim(seed) == 0:
-        return realize_channel(env, fading, dims, [seed], ramp)[0]
+        return realize_channel(env, fading, dims, [seed])[0]
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
     if env.name == "awgn_only":
         h = np.zeros((len(seed), 2, 2, n_sc, n_sym), dtype=np.complex128)
@@ -229,8 +232,7 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
                               + math.sqrt(1.0 / (k + 1.0)) * scatter[..., 0, :])
 
     taps = scatter * np.sqrt(env.powers_linear)[:, None]
-    ramp = phase_ramp(env, dims) if ramp is None else ramp
-    return ramp @ taps  # (seeds, 2, 2, k, t)
+    return phase_ramp(env, dims) @ taps  # (seeds, 2, 2, k, t)
 
 
 def apply_channel(tx_grids: np.ndarray, h: np.ndarray) -> np.ndarray:

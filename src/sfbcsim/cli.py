@@ -84,7 +84,7 @@ def load_config(path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
     try:
-        content = path.read_text(encoding="utf-8")
+        content = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     values = {}
@@ -139,8 +139,7 @@ def emit_csv(records: list[BerRecord], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_json(records: list[BerRecord], path,
-              config: ScenarioConfig | None = None) -> None:
+def emit_json(records: list[BerRecord], path, config: ScenarioConfig) -> None:
     """Write records plus the scenario metadata block as JSON."""
     if not records:
         raise ValueError("no records to emit")
@@ -152,19 +151,14 @@ def emit_json(records: list[BerRecord], path,
         if r.error is not None:
             row["error"] = r.error
         rows.append(row)
-    payload = {"format_version": FORMAT_VERSION, "records": rows}
-    if config is not None:
-        payload["scenario"] = {**config.metadata(), "config_hash": config.config_hash()}
+    payload = {"format_version": FORMAT_VERSION, "records": rows,
+               "scenario": {**config.metadata(), "config_hash": config.config_hash()}}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 
 # fixed palette for plot curves
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _log_ticks(lo_exp: int, hi_exp: int) -> list[int]:
-    return list(range(lo_exp, hi_exp + 1))
 
 
 def emit_plot(record_sets: list[tuple[str, list[BerRecord]]], path,
@@ -213,7 +207,7 @@ def emit_plot(record_sets: list[tuple[str, list[BerRecord]]], path,
     # frame and gridlines
     parts.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="black"/>')
-    for e in _log_ticks(y_lo_exp, y_hi_exp):
+    for e in range(y_lo_exp, y_hi_exp + 1):
         y = sy(10.0 ** e)
         parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" '
                      f'stroke="#dddddd"/>')

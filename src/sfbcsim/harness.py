@@ -15,7 +15,7 @@ mean energy), so the noise level never tracks individual fades.  The
 per-grid work is cached once per grid dimensions, pairing and seed, whatever
 the QAM order, CSI mode or tap table: the pilot plan, the used REs' flat
 indices, the pilot values sent there and each pair's index in the estimate.
-A sweep's engine adds its constellation, fading, bit budget and phase ramp.
+A sweep's engine adds its constellation, fading and bit budget.
 
 Seed splitting is bit-exact and reproducible:
 
@@ -265,7 +265,7 @@ def _layout(dims: GridDimensions, pairing: str,
     each antenna's pilot or null values at the pilots, and each pair's first
     RE in the estimate's (l, k) order; shared, per grid, pairing and seed, by
     every QAM order, CSI mode and tap table."""
-    pattern = pilots.PilotPattern(dims.n_subcarriers, dims.n_symbols)
+    pattern = pilots.PilotPattern(dims.n_subcarriers)
     # every SFBC pair of the subframe in transmit order: its two absolute
     # data subcarriers and its OFDM symbol
     pairs = []
@@ -295,7 +295,6 @@ class _TrialEngine:
         self.constellation = modem.QamConstellation(config.modulation)
         self.pilot_plan, used, pilot_tx, self.re0_estimate = _layout(dims, config.pairing,
                                                                      config.seed)
-        self.phase_ramp = chan.phase_ramp(self.env, dims)
         self.symbols_per_subframe = n_data = used.size - pilot_tx.shape[-1]
         # a trial's REs and the pilots sent there: only an estimate reads pilots
         self.used, self.pilot_tx = ((used, pilot_tx) if config.csi == "estimated"
@@ -322,7 +321,7 @@ class _TrialEngine:
         # no OFDM round trip: the channel acts on the grid (see the module docstring), here
         # on the used REs taken as one subcarrier's symbols; first, while few arrays are alive
         h = _stage("realize_channel", chan.realize_channel, self.env, self.fading, dims,
-                   channel_rngs, self.phase_ramp)
+                   channel_rngs)
         h = np.take(h.reshape(n, 2, 2, 1, -1), self.used, axis=-1)
         bits = np.stack([_stage("generate_bits", modem.generate_bits,
                                 self.bits_per_subframe, rng) for rng in bit_rngs])

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import SYMBOLS_PER_SUBFRAME
+
 PILOT_SYMBOLS = (0, 4, 7, 11)
 _PORT_OFFSETS = {0: (0, 3, 0, 3), 1: (3, 0, 3, 0)}
 PILOT_STRIDE = 6
@@ -34,17 +36,16 @@ class EstimationError(RuntimeError):
 
 
 class PilotPattern:
-    """Pilot/null positions of both antenna ports for one subframe.
+    """Pilot/null positions of both antenna ports for one normal-CP subframe.
 
     `k`, `l`: each pilot's subcarrier and symbol, shape (2 ports, pilots).
     """
 
-    def __init__(self, n_subcarriers: int, n_symbols: int = 14):
+    def __init__(self, n_subcarriers: int):
         if n_subcarriers < PILOT_STRIDE + max(max(v) for v in _PORT_OFFSETS.values()):
             raise EstimationError(
                 f"{n_subcarriers} subcarriers leave fewer than 2 pilots per symbol")
         self.n_subcarriers = n_subcarriers
-        self.n_symbols = n_symbols
         per_symbol = [[np.arange(off, n_subcarriers, PILOT_STRIDE) for off in offsets]
                       for offsets in _PORT_OFFSETS.values()]
         self.k = np.array([np.concatenate(ks) for ks in per_symbol])
@@ -86,7 +87,7 @@ class PilotPlan:
         self.pattern, self.k, self.l = pattern, pattern.k, pattern.l
         self.values = np.array([np.concatenate(pilot_values(pattern, port, seed))
                                 for port in (0, 1)])
-        n_sc, n_sym = pattern.n_subcarriers, pattern.n_symbols
+        n_sc, n_sym = pattern.n_subcarriers, SYMBOLS_PER_SUBFRAME
         starts = np.flatnonzero(np.diff(self.l.ravel(), prepend=-1))
         seg, frac = zip(*[_linear_weights(ks, n_sc)
                           for ks in np.split(self.k.ravel(), starts[1:])])

@@ -91,6 +91,11 @@ class TestEnvironments:
         assert env.delays_s == (0.0, 1e-6)
         assert abs(env.powers_linear.sum() - 1.0) < 1e-12
 
+    def test_load_environment_file_skips_byte_order_mark(self, tmp_path):
+        f = tmp_path / "taps.txt"
+        f.write_text("\ufeff0.0 0\n1.0 -3\n", encoding="utf-8")
+        assert load_environment_file(f).delays_s == (0.0, 1e-6)
+
     def test_load_environment_file_rejects_garbage(self, tmp_path):
         f = tmp_path / "taps.txt"
         f.write_text("0.0 0 extra\n")
@@ -116,8 +121,10 @@ class TestFadingConfig:
         with pytest.raises(ValueError):
             FadingConfig(k_factor=-1.0)
 
+    # the last two are finite but overflow the Doppler shift
     @pytest.mark.parametrize("field,value", [("speed_kmh", -3.0), ("carrier_freq_ghz", -2.7),
-                                             ("carrier_freq_ghz", 0.0)])
+                                             ("carrier_freq_ghz", 0.0), ("speed_kmh", 1e308),
+                                             ("carrier_freq_ghz", 1e300)])
     def test_out_of_range_mobility_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FadingConfig(**{field: value})
@@ -137,6 +144,12 @@ class TestFadingConfig:
 
 
 class TestRealizeChannel:
+    def test_phase_ramp_shared_and_read_only(self, dims):
+        ramp = phase_ramp(build_environment("typical_urban"), dims)
+        assert phase_ramp(build_environment("typical_urban"), GridDimensions(6)) is ramp
+        with pytest.raises(ValueError, match="read-only"):
+            ramp[0, 0] = 0.0
+
     def test_awgn_only_is_identity(self, dims):
         h = realize_channel(build_environment("awgn_only"), FadingConfig(),
                             dims, seed=1)

@@ -111,6 +111,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad.cfg:2"):
             load_config(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffsnr_db = 0, 2\n", encoding="utf-8")
+        assert load_config(path).snr_db == (0.0, 2.0)
+
     def test_name_defaults_to_stem(self, small_config):
         assert load_config(small_config).name == "smoke"
 
@@ -160,7 +165,12 @@ class TestEmitJson:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_json([], tmp_path / "r.json")
+            emit_json([], tmp_path / "r.json",
+                      load_config(PRESET_DIR / "table4_user_defined.cfg"))
+
+    def test_scenario_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            emit_json(make_records(), tmp_path / "r.json")
 
 
 class TestEmitPlot:
@@ -229,12 +239,16 @@ class TestMain:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["speed_kmh = -3", "carrier_freq_ghz = -2.7",
-                                      "carrier_freq_ghz = 0"])
+                                      "carrier_freq_ghz = 0", "speed_kmh = 1e308",
+                                      "carrier_freq_ghz = 1e300"])
     def test_validate_out_of_range_mobility_exits_one(self, tmp_path, capsys, line):
         path = tmp_path / "fading.cfg"
         path.write_text(f"{line}\nsnr_db = 0\n")
         assert main(["validate", str(path)]) == 1
-        assert f"{line.split()[0]} must be >" in capsys.readouterr().err
+        field, value = line.split(" = ")
+        assert (f"{field} must be >" if float(value) <= 0 else
+                "speed_kmh and carrier_freq_ghz give an infinite Doppler shift"
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [pytest.param("0.0 0\n1.0 nan\n", id="1.0 nan"),
                                       pytest.param("0.0 0\ninf -3\n", id="inf -3"),

@@ -150,7 +150,7 @@ class TestPairMaps:
         uses = np.zeros((dims.n_subcarriers, dims.n_symbols), dtype=int)
         np.add.at(uses.reshape(-1), re0, 1)
         np.add.at(uses.reshape(-1), re1, 1)
-        pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
+        pattern = PilotPattern(dims.n_subcarriers)
         data = np.zeros_like(uses)
         for sym in range(dims.n_symbols):
             data[pattern.data_subcarriers(sym), sym] = 1
@@ -604,6 +604,7 @@ class TestRunSweep:
         taps.write_text("0.0 0\n5.0 0\n")
         [rewritten] = run_sweep(cfg)
         h._layout.cache_clear()
+        h.chan.phase_ramp.cache_clear()
         [fresh] = run_sweep(cfg)
         assert (rewritten.total_bits, rewritten.bit_errors) == \
                (fresh.total_bits, fresh.bit_errors)

@@ -18,7 +18,7 @@ def dims():
 
 @pytest.fixture
 def pattern(dims):
-    return PilotPattern(dims.n_subcarriers, dims.n_symbols)
+    return PilotPattern(dims.n_subcarriers)
 
 
 @pytest.fixture
@@ -57,6 +57,10 @@ class TestPattern:
     def test_too_few_subcarriers_rejected(self):
         with pytest.raises(EstimationError):
             PilotPattern(8)
+
+    def test_symbol_count_fixed_by_the_subframe(self):
+        with pytest.raises(TypeError):
+            PilotPattern(72, 14)
 
 
 class TestPilotValues:
@@ -217,7 +221,7 @@ class TestAgainstDenseOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
     def test_insert_and_estimate_equal_oracle(self, n_rb, seed):
         dims = GridDimensions(n_rb)
-        pattern = PilotPattern(dims.n_subcarriers, dims.n_symbols)
+        pattern = PilotPattern(dims.n_subcarriers)
         plan = PilotPlan(pattern, seed)
         shape = (2, dims.n_subcarriers, dims.n_symbols)
         rng = np.random.default_rng([n_rb, seed % 2**32])

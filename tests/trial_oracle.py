@@ -25,7 +25,7 @@ def run_trial(cfg, snr_db, trial_seed: int) -> tuple[int, int]:
     dims, env, fading = cfg.dims(), cfg.build_environment(), cfg.fading()
     n_sc, n_sym, fft, cp = dims.n_subcarriers, dims.n_symbols, dims.fft_size, dims.cp_len
     constellation = modem.QamConstellation(cfg.modulation)
-    pattern = pilots.PilotPattern(n_sc, n_sym)
+    pattern = pilots.PilotPattern(n_sc)
     plan = pilots.PilotPlan(pattern, derive_seed(cfg.seed, 0))
 
     # every SFBC pair of the subframe in transmit order, symbol by symbol
