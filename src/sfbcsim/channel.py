@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridDimensions
+from .grid import RB_BANDWIDTH_MHZ, SUBCARRIER_SPACING_HZ, GridDimensions
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -64,6 +64,13 @@ class RadioEnvironment:
             if not np.all(np.isfinite(self.powers_linear)):
                 raise ValueError("tap powers must be finite once normalized to linear "
                                  f"scale, got {self.powers_db} dB")
+        f_max = 6 * max(RB_BANDWIDTH_MHZ) * SUBCARRIER_SPACING_HZ  # 9 MHz: 600 below DC at 100 RB
+        if not math.isfinite(2 * math.pi * (f_max * self.max_delay_s)):  # rounded as in phase_ramp
+            raise ValueError(f"tap delay {self.max_delay_s} s overflows the phase ramp")
+
+    @property
+    def identity(self) -> bool:  # no fading: each transmit antenna reaches its own receiver
+        return self.name == "awgn_only"
 
     @property
     def powers_linear(self) -> np.ndarray:
@@ -197,14 +204,14 @@ def realize_channel(env: RadioEnvironment, fading: FadingConfig,
     Doppler spectrum; the line-of-sight share of the K factor rides on tap
     zero only, identical on every link.  Taps are then collapsed onto the
     subcarriers through the delay-response sum H(f) = sum_i g_i e^{-j2πfτ_i}.
-    The AwgnOnly environment is the identity channel.
+    The identity environment is the identity channel.
     A sequence of seeds (or Generators) stacks one realization per seed on a
     leading axis, each drawn from its own generator exactly as if alone.
     """
     if np.ndim(seed) == 0:
         return realize_channel(env, fading, dims, [seed])[0]
     n_sc, n_sym = dims.n_subcarriers, dims.n_symbols
-    if env.name == "awgn_only":
+    if env.identity:
         h = np.zeros((len(seed), 2, 2, n_sc, n_sym), dtype=np.complex128)
         h[:, [0, 1], [0, 1]] = 1.0
         return h
@@ -253,11 +260,11 @@ def draw_noise(shape, snr_db, reference_power: float, seed) -> np.ndarray:
         raise ValueError(f"{len(snr_db)} SNRs and {len(seed)} seeds for {shape[0]} signals")
     noise = np.empty(tuple(shape) + (2,))
     for b, (snr, s) in enumerate(zip(snr_db, seed)):
-        if snr is None or snr == math.inf:
+        if snr == math.inf:
             noise[b] = 0.0
             continue
         if not snr > -math.inf:
-            raise ValueError(f"snr_db must be finite, +inf or None, got {snr}")
+            raise ValueError(f"snr_db must be finite or +inf, got {snr}")
         variance = reference_power / 10.0 ** (snr / 10.0)
         np.random.default_rng(s).standard_normal(out=noise[b])
         noise[b] *= math.sqrt(variance / 2.0)  # normal(scale=...) bit for bit: 0 + scale * z
@@ -268,9 +275,9 @@ def add_awgn(signal: np.ndarray, snr_db, reference_power: float, seed) -> np.nda
     """Add circular complex Gaussian noise at the given per-element SNR.
 
     The noise variance per element is reference_power / 10^(snr_db/10);
-    snr_db of None or +inf bypasses the noise entirely, NaN and -inf are
-    rejected.  Sequences of SNRs and seeds stack signals on the leading
-    axis of `signal`, each drawing its own noise as if alone.
+    snr_db of +inf bypasses the noise entirely, NaN and -inf are rejected.
+    Sequences of SNRs and seeds stack signals on the leading axis of
+    `signal`, each drawing its own noise as if alone.
     """
     if np.ndim(seed) == 0:
         return add_awgn(np.asarray(signal)[None], [snr_db], reference_power, [seed])[0]

@@ -27,7 +27,8 @@ from .harness import BerRecord, ScenarioConfig, SimulationError, run_sweep
 
 FORMAT_VERSION = 3
 
-CSV_HEADER = "snr_db,total_bits,bit_errors,ber,n_trials,seed"
+COLUMNS = ("snr_db", "total_bits", "bit_errors", "ber", "n_trials", "seed")  # frozen, in order
+CSV_HEADER = ",".join(COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -117,10 +118,6 @@ def load_config(path) -> ScenarioConfig:
     return config
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_csv(records: list[BerRecord], path) -> None:
     """Write records with the frozen CSV schema (header row mandatory).
 
@@ -134,8 +131,8 @@ def emit_csv(records: list[BerRecord], path) -> None:
         raise ValueError("every sweep point failed, nothing to emit")
     lines = [CSV_HEADER]
     for r in measured:
-        lines.append(f"{_format_float(r.snr_db)},{r.total_bits},{r.bit_errors},"
-                     f"{_format_float(r.ber)},{r.n_trials},{r.seed}")
+        lines.append(",".join(f"{float(getattr(r, c))!r}" if c in ("snr_db", "ber")
+                              else f"{getattr(r, c)}" for c in COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -145,9 +142,7 @@ def emit_json(records: list[BerRecord], path, config: ScenarioConfig) -> None:
         raise ValueError("no records to emit")
     rows = []
     for r in records:
-        row = {"snr_db": r.snr_db, "total_bits": r.total_bits,
-               "bit_errors": r.bit_errors, "ber": r.ber,
-               "n_trials": r.n_trials, "seed": r.seed}
+        row = {c: getattr(r, c) for c in COLUMNS}
         if r.error is not None:
             row["error"] = r.error
         rows.append(row)
@@ -350,7 +345,7 @@ def _cmd_envs() -> int:
         env = build_environment(name)
         taps = ", ".join(f"({d * 1e6:g} us, {p:g} dB)"
                          for d, p in zip(env.delays_s, env.powers_db))
-        note = "  [identity channel]" if name == "awgn_only" else ""
+        note = "  [identity channel]" if env.identity else ""
         print(f"{name}: {taps}{note}")
     return 0
 

@@ -22,11 +22,6 @@ SYMBOLS_PER_SUBFRAME = 14  # normal cyclic prefix, 7 per slot
 RB_BANDWIDTH_MHZ = {6: 1.4, 15: 3.0, 25: 5.0, 50: 10.0, 75: 15.0, 100: 20.0}
 
 
-def default_fft_size(n_subcarriers: int) -> int:
-    """Smallest power of two that fits the occupied subcarriers."""
-    return 1 << (n_subcarriers - 1).bit_length()
-
-
 @dataclass(frozen=True)
 class GridDimensions:
     """Frequency/time sizing of one antenna port's resource grid."""
@@ -45,7 +40,8 @@ class GridDimensions:
 
     @property
     def fft_size(self) -> int:
-        return default_fft_size(self.n_subcarriers)
+        """Smallest power of two that fits the occupied subcarriers."""
+        return 1 << (self.n_subcarriers - 1).bit_length()
 
     @property
     def n_symbols(self) -> int:

@@ -10,11 +10,12 @@ OFDM round trip would only return the grid up to rounding
 vector of the REs the receiver reads: the SFBC pairs', then (estimated CSI)
 each port's pilots.  The noise is drawn for the whole grid, as its stream
 holds it, and taken there.  Its variance is the ensemble-average received
-data-RE power over the linear SNR, an analytic average (every link has unit
-mean energy), so the noise level never tracks individual fades.  The
-per-grid work is cached once per grid dimensions, pairing and seed, whatever
-the QAM order, CSI mode or tap table: the pilot plan, the used REs' flat
-indices, the pilot values sent there and each pair's index in the estimate.
+data-RE power over the linear SNR (+inf: no noise), an analytic average
+(each link has unit mean energy, the identity channel one per receive
+antenna), so the noise level never tracks individual fades.  The per-grid
+work is cached once per grid dimensions, pairing and seed, whatever the QAM
+order, CSI mode or tap table: the pilot plan, the used REs' flat indices,
+the pilot values sent there and each pair's index in the estimate.
 A sweep's engine adds its constellation, fading and bit budget.
 
 Seed splitting is bit-exact and reproducible:
@@ -178,9 +179,6 @@ class ScenarioConfig:
         for label in ("modulation", "n_rb", "min_bits", "max_bits", "seed"):
             if (value := getattr(self, label)) is not None:  # numpy integers pass as ints
                 object.__setattr__(self, label, operator.index(value))
-        if self.modulation not in modem.QAM_ORDERS:
-            raise ValueError(f"modulation must be one of {modem.QAM_ORDERS}, "
-                             f"got {self.modulation}")
         # stored as a tuple, in the order given: hashable, and hashed as the tuple form
         object.__setattr__(self, "snr_db", tuple(self.snr_db))
         if not self.snr_db:
@@ -197,22 +195,24 @@ class ScenarioConfig:
             raise ValueError("max_bits must be >= min_bits")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # grid, environment and fading validation happens in their constructors
+        # equal scenarios store, and so hash, equal values: the environment's canonical
+        # name from here on, and the numbers as floats once validated
+        object.__setattr__(self, "environment", chan.canonical_name(self.environment))
+        # modulation, grid, environment and fading validation happens in their constructors
+        modem.QamConstellation(self.modulation)
         self.dims()
         self.build_environment()
         self.fading()
-        # equal scenarios store, and so hash, equal values
         for label in ("k_factor", "speed_kmh", "carrier_freq_ghz", "tx_corr", "rx_corr"):
             object.__setattr__(self, label, float(getattr(self, label)))
         object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
-        object.__setattr__(self, "environment", chan.canonical_name(self.environment))
 
     def dims(self) -> GridDimensions:
         return GridDimensions(self.n_rb)
 
     def build_environment(self) -> chan.RadioEnvironment:
         if self.env_file is not None:
-            if chan.canonical_name(self.environment) != "user_defined":
+            if self.environment != "user_defined":
                 raise ValueError("env_file is only valid with the user_defined environment")
             return chan.load_environment_file(self.env_file)
         return chan.build_environment(self.environment)
@@ -223,9 +223,6 @@ class ScenarioConfig:
 
     def bits_per_trial(self) -> int:
         return _TrialEngine(self).bits_per_subframe
-
-    def effective_max_bits(self) -> int:
-        return _TrialEngine(self).max_bits
 
     def metadata(self) -> dict:
         """Every field plus the resolved tap table, which env_file alone does not fix."""
@@ -305,12 +302,11 @@ class _TrialEngine:
         self.max_bits = (config.max_bits if config.max_bits is not None
                          else max(40 * self.bits_per_subframe, config.min_bits))
 
-        # ensemble-average received data-RE power: each fading link has unit
-        # mean energy (identity channel: one unit link per receive antenna)
-        sum_link_energy = 2.0 if self.env.name == "awgn_only" else 4.0
-        self.reference_power = ANTENNA_AMPLITUDE ** 2 * sum_link_energy / 2.0
+        # ensemble-average received data-RE power: per receive antenna, two fading
+        # links of unit mean energy, or the identity channel's one unit link
+        self.reference_power = ANTENNA_AMPLITUDE ** 2 * (1.0 if self.env.identity else 2.0)
 
-    def run(self, snr_db: Sequence[float | None], states: np.ndarray) -> list[tuple[int, int]]:
+    def run(self, snr_db: Sequence[float], states: np.ndarray) -> list[tuple[int, int]]:
         """(bits_sent, bit_errors) per trial of a stack: trial b runs at snr_db[b]
         with the generator states states[b] (see `trial_states`), and every
         stage but bit generation once per stack."""
@@ -371,12 +367,11 @@ def _stage(name, fn, *args, **kwargs):
         raise SimulationError(f"stage '{name}' failed: {exc}") from exc
 
 
-def run_trial(config: ScenarioConfig, snr_db: float | None,
-              trial_seed: int) -> tuple[int, int]:
+def run_trial(config: ScenarioConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
     """One subframe through the full chain; returns (bits_sent, bit_errors).
 
-    Deterministic in (config, snr_db, trial_seed); snr_db may be None or
-    +inf to bypass the noise stage.  A stack of one trial.
+    Deterministic in (config, snr_db, trial_seed); snr_db may be +inf to
+    bypass the noise stage.  A stack of one trial.
     """
     return _TrialEngine(config).run([snr_db], trial_states([trial_seed]))[0]
 

@@ -33,7 +33,7 @@ class QamConstellation:
 
     def __init__(self, order: int):
         if order not in QAM_ORDERS:
-            raise ValueError(f"unsupported QAM order {order}, expected one of {QAM_ORDERS}")
+            raise ValueError(f"modulation must be one of {QAM_ORDERS}, got {order}")
         self.order = order
         k = self.bits_per_symbol = order.bit_length() - 1
         m_axis = k // 2

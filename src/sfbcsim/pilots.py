@@ -55,13 +55,10 @@ class PilotPattern:
         """(symbol index, pilot subcarrier indices) per pilot-bearing symbol."""
         return [(sym, self.k[port, self.l[port] == sym]) for sym in PILOT_SYMBOLS]
 
-    def reserved_subcarriers(self, symbol: int) -> np.ndarray:
-        """Subcarriers unavailable for data at `symbol` (pilots of either port)."""
-        return np.sort(self.k[self.l == symbol])
-
     def data_subcarriers(self, symbol: int) -> np.ndarray:
+        """Subcarriers free for data at `symbol`: those of neither port's pilots."""
         mask = np.ones(self.n_subcarriers, dtype=bool)
-        mask[self.reserved_subcarriers(symbol)] = False
+        mask[self.k[self.l == symbol]] = False
         return np.nonzero(mask)[0]
 
 
@@ -84,7 +81,7 @@ class PilotPlan:
     samples, weighted `w_lo` (`w_hi` the next pilot)."""
 
     def __init__(self, pattern: PilotPattern, seed: int):
-        self.pattern, self.k, self.l = pattern, pattern.k, pattern.l
+        self.k, self.l = pattern.k, pattern.l
         self.values = np.array([np.concatenate(pilot_values(pattern, port, seed))
                                 for port in (0, 1)])
         n_sc, n_sym = pattern.n_subcarriers, SYMBOLS_PER_SUBFRAME

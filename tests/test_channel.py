@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sfbcsim.channel import (ENVIRONMENT_NAMES, FadingConfig,
+from sfbcsim.channel import (ENVIRONMENT_NAMES, FadingConfig, RadioEnvironment,
                              add_awgn, apply_channel, build_environment,
                              load_environment_file, phase_ramp, realize_channel)
 from sfbcsim.grid import GridDimensions
@@ -62,6 +62,15 @@ class TestEnvironments:
     def test_awgn_only_single_tap(self):
         env = build_environment("AwgnOnly")
         assert env.delays_s == (0.0,) and env.powers_db == (0.0,)
+
+    def test_identity_is_awgn_only_alone(self):
+        assert [n for n in ENVIRONMENT_NAMES if build_environment(n).identity] == ["awgn_only"]
+
+    def test_delay_overflowing_the_phase_ramp_rejected(self):
+        # 2π × 9 MHz × 1e302 s overflows: the phase ramp would hold NaNs
+        with pytest.raises(ValueError, match="phase ramp"):
+            RadioEnvironment("user_defined", (0.0, 1e302), (0.0, 0.0))
+        assert build_environment("hilly_terrain").max_delay_s == pytest.approx(17.2e-6)
 
     def test_typical_urban_six_taps_normalized(self):
         env = build_environment("typical_urban")
@@ -324,7 +333,8 @@ class TestAddAwgn:
     def test_infinite_snr_bypass(self):
         x = np.ones((4, 4), dtype=complex)
         assert np.array_equal(add_awgn(x, np.inf, 1.0, seed=0), x)
-        assert np.array_equal(add_awgn(x, None, 1.0, seed=0), x)
+        with pytest.raises(TypeError):  # +inf is the only noiseless SNR
+            add_awgn(x, None, 1.0, seed=0)
 
     def test_noise_variance(self):
         noise = add_awgn(np.zeros(10**6, dtype=complex), 0.0, 1.0, seed=5)
@@ -346,7 +356,7 @@ class TestAddAwgn:
 
     def test_stack_draws_each_signal_as_if_alone(self):
         x = np.arange(12, dtype=complex).reshape(3, 4)
-        snrs, seeds = [3.0, None, -2.0], [5, 6, 7]
+        snrs, seeds = [3.0, math.inf, -2.0], [5, 6, 7]
         stacked = add_awgn(x, snrs, 1.0, seeds)
         for b in range(3):
             assert np.array_equal(stacked[b], add_awgn(x[b], snrs[b], 1.0, seeds[b]))
@@ -360,10 +370,10 @@ class TestAddAwgn:
         # pairs from the row's own generator, bit for bit
         rng = np.random.default_rng(9)
         x = rng.standard_normal((5, 2, 72, 14)) + 1j * rng.standard_normal((5, 2, 72, 14))
-        snrs, seeds, power = [3.0, None, -2.5, math.inf, 17.0], [11, 12, 13, 14, 15], 0.75
+        snrs, seeds, power = [3.0, math.inf, -2.5, math.inf, 17.0], [11, 12, 13, 14, 15], 0.75
         stacked = add_awgn(x, snrs, power, seeds)
         for b, (snr, seed) in enumerate(zip(snrs, seeds)):
-            if snr is None or snr == math.inf:
+            if snr == math.inf:
                 assert np.array_equal(stacked[b], x[b])
                 continue
             scale = math.sqrt(power / 10.0 ** (snr / 10.0) / 2.0)

@@ -261,6 +261,20 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    def test_validate_delay_overflowing_the_phase_ramp_exits_one(self, tmp_path, capsys):
+        taps = tmp_path / "taps.txt"
+        taps.write_text("0.0 0\n1e308 0\n")  # a delay of 1e302 s
+        path = tmp_path / "taps.cfg"
+        path.write_text(f"environment = user_defined\nenv_file = {taps}\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert "overflows the phase ramp" in capsys.readouterr().err
+
+    def test_validate_unsupported_modulation_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "qam.cfg"
+        path.write_text("modulation = 8\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert "modulation must be one of (4, 16, 64), got 8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("snr", ["1000.5", "-1001", "3085", "-4000"])
     def test_validate_out_of_range_snr_exits_one(self, tmp_path, capsys, snr):
         path = tmp_path / "snr.cfg"

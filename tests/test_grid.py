@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfbcsim.grid import (GridDimensions, RB_BANDWIDTH_MHZ, default_fft_size,
+from sfbcsim.grid import (GridDimensions, RB_BANDWIDTH_MHZ,
                           ofdm_demodulate, ofdm_modulate, strip_padding,
                           zero_pad)
 
@@ -23,7 +23,7 @@ class TestGridDimensions:
     def test_default_fft_sizes(self, n_rb, fft):
         dims = GridDimensions(n_rb)
         assert dims.n_subcarriers == 12 * n_rb
-        assert dims.fft_size == fft == default_fft_size(dims.n_subcarriers)
+        assert dims.fft_size == fft
 
     def test_cp_length(self):
         assert GridDimensions(6).cp_len == 10  # ceil(128 / 14)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import trial_oracle
 from sfbcsim.channel import ENVIRONMENT_NAMES
 from sfbcsim.grid import RB_BANDWIDTH_MHZ
-from sfbcsim.harness import (ScenarioConfig, derive_seed, run_sweep, run_trial,
-                             seed_sequence_state, trial_states)
+from sfbcsim.harness import (ScenarioConfig, SimulationError, derive_seed, run_sweep,
+                             run_trial, seed_sequence_state, trial_states)
 from sfbcsim.pilots import PilotPattern
 
 
@@ -68,11 +68,13 @@ class TestScenarioConfig:
             make_config(csi="oracle")
 
     def test_default_max_bits_covers_configured_frames(self):
-        cfg = make_config()
-        assert cfg.effective_max_bits() == 4 * 10 * cfg.bits_per_trial() == 40 * 1824
-        # max_bits if set, else 4 frames x 10 subframes, never below min_bits
-        assert make_config(max_bits=30_000).effective_max_bits() == 30_000
-        assert make_config(min_bits=80_000).effective_max_bits() == 80_000
+        # max_bits if set, else 4 frames x 10 subframes, never below min_bits; at
+        # 1000 dB no trial errs, so a point runs until the budget is spent
+        assert make_config().bits_per_trial() == 1824
+        for overrides, n_trials in [({}, 40), ({"max_bits": 30_000}, math.ceil(30_000 / 1824)),
+                                    ({"min_bits": 80_000}, math.ceil(80_000 / 1824))]:
+            [record] = run_sweep(make_config(snr_db=(1000.0,), **overrides))
+            assert record.bit_errors == 0 and record.n_trials == n_trials
 
     @pytest.mark.parametrize("field,value", [("modulation", 4.0), ("n_rb", 6.0),
                                              ("min_bits", 10_000.0), ("max_bits", 20_000.5),
@@ -229,7 +231,7 @@ class TestStageCounts:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(chan, name, counted)
-        h._TrialEngine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
+        h._TrialEngine(cfg).run([10.0, math.inf, 3.0], trial_states([3, 4, 5]))
         assert calls == {"run": 1, "draw_noise": 1, "apply_channel": 1, "add_awgn": 0}
         run_sweep(cfg)
         assert calls["draw_noise"] == calls["apply_channel"] == calls["run"] > 1
@@ -249,7 +251,7 @@ class TestStageCounts:
             monkeypatch.setattr(h, name, counted)
         for t in range(3):
             run_trial(cfg, 10.0, t)
-        h._TrialEngine(cfg).run([10.0, None, 3.0], trial_states([3, 4, 5]))
+        h._TrialEngine(cfg).run([10.0, math.inf, 3.0], trial_states([3, 4, 5]))
         assert calls == dict.fromkeys(calls, 0)
 
     def test_one_pilot_plan_per_grid(self, monkeypatch):
@@ -335,7 +337,7 @@ configs = st.builds(
     environment=st.sampled_from(ENVIRONMENT_NAMES), pairing=st.sampled_from(["adjacent", "mirror"]),
     csi=st.sampled_from(["estimated", "perfect"]), modulation=st.sampled_from([4, 16, 64]),
     seed=st.integers(0, 2**32))
-snrs = st.one_of(st.floats(-10.0, 40.0), st.sampled_from([None, math.inf]))
+snrs = st.one_of(st.floats(-10.0, 40.0), st.just(math.inf))
 trial_seeds = st.integers(0, 2**64 - 1)
 
 
@@ -400,6 +402,11 @@ class TestRunTrial:
             errors += errs
             t += 1
         assert errors == 0
+
+    def test_none_snr_fails_the_noise_stage(self):
+        # +inf is the only noiseless SNR
+        with pytest.raises(SimulationError, match="add_awgn"):
+            run_trial(make_config(), None, 0)
 
     def test_deep_negative_snr_near_coin_flip(self):
         cfg = make_config()

@@ -49,8 +49,9 @@ class TestPattern:
     def test_data_subcarriers_even_and_complementary(self, pattern):
         for symbol in range(14):
             data = pattern.data_subcarriers(symbol)
-            reserved = pattern.reserved_subcarriers(symbol)
+            reserved = pattern.k[pattern.l == symbol]
             assert len(data) % 2 == 0
+            assert not set(data.tolist()) & set(reserved.tolist())
             assert len(data) + len(reserved) == 72
             assert len(data) == (48 if symbol in PILOT_SYMBOLS else 72)
 
