@@ -14,8 +14,8 @@ data-RE power over the linear SNR (+inf: no noise), an analytic average
 (each link has unit mean energy, the identity channel one per receive
 antenna), so the noise level never tracks individual fades.  The per-grid
 work is cached once per grid dimensions, pairing and seed, whatever the QAM
-order, CSI mode or tap table: the pilot plan, the used REs' flat indices,
-the pilot values sent there and each pair's index in the estimate.
+order, CSI mode or tap table: the pilot plan, the used REs' flat indices
+and the pilot values sent there.
 A sweep's engine adds its constellation, fading and bit budget.
 
 Seed splitting is bit-exact and reproducible:
@@ -257,11 +257,10 @@ class BerRecord:
 
 @lru_cache(maxsize=16)  # the 252-sweep matrix cycles through 6 grids, a benchmark workload 1
 def _layout(dims: GridDimensions, pairing: str,
-            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray, np.ndarray]:
-    """One grid's pilot plan, the flat indices of the REs a receiver reads,
-    each antenna's pilot or null values at the pilots, and each pair's first
-    RE in the estimate's (l, k) order; shared, per grid, pairing and seed, by
-    every QAM order, CSI mode and tap table."""
+            seed: int) -> tuple[pilots.PilotPlan, np.ndarray, np.ndarray]:
+    """One grid's pilot plan, the flat indices of the REs a receiver reads and
+    each antenna's pilot or null values at the pilots; shared, per grid,
+    pairing and seed, by every QAM order, CSI mode and tap table."""
     pattern = pilots.PilotPattern(dims.n_subcarriers)
     # every SFBC pair of the subframe in transmit order: its two absolute
     # data subcarriers and its OFDM symbol
@@ -278,7 +277,7 @@ def _layout(dims: GridDimensions, pairing: str,
     grid = np.zeros((2, dims.n_subcarriers, dims.n_symbols), dtype=np.complex128)
     grid.reshape(2, -1)[:, used[:2 * l.size]] = 1.0
     pilots.insert_pilots(grid, plan)
-    return plan, used, grid[:, plan.k, plan.l].reshape(2, -1), l * dims.n_subcarriers + k0
+    return plan, used, grid[:, plan.k, plan.l].reshape(2, -1)
 
 
 class _TrialEngine:
@@ -290,8 +289,7 @@ class _TrialEngine:
         self.env = config.build_environment()
         self.fading = config.fading()
         self.constellation = modem.QamConstellation(config.modulation)
-        self.pilot_plan, used, pilot_tx, self.re0_estimate = _layout(dims, config.pairing,
-                                                                     config.seed)
+        self.pilot_plan, used, pilot_tx = _layout(dims, config.pairing, config.seed)
         self.symbols_per_subframe = n_data = used.size - pilot_tx.shape[-1]
         # a trial's REs and the pilots sent there: only an estimate reads pilots
         self.used, self.pilot_tx = ((used, pilot_tx) if config.csi == "estimated"
@@ -344,10 +342,10 @@ class _TrialEngine:
         if self.config.csi == "estimated":
             samples = _stage("estimate_channel", pilots.normalize_pilots,
                              received[..., n_data:].reshape(n, 2, 2, -1), plan.values)
-            # the estimate [b, receive antenna, port, k, l] views an (l, k) array: read it flat
+            # the estimate [b, receive antenna, port, k, l], read at each pair's first RE
             h_pair = _stage("estimate_channel", pilots.interpolate_channel, samples, plan)
-            h_pair = np.take(h_pair.swapaxes(-1, -2).reshape(n, 2, 2, -1),
-                             self.re0_estimate, axis=-1).swapaxes(-3, -2)
+            h_pair = np.take(h_pair.reshape(n, 2, 2, -1), self.used[:n_data // 2],
+                             axis=-1).swapaxes(-3, -2)
         # y[b, receive antenna, first or second RE of the pair, pair]
         y = received[..., :n_data].reshape(n, 2, 2, -1)
         decoded = sfbc.interleave_pairs(*_stage("sfbc_decode", sfbc.sfbc_decode, y[:, 0, 0],

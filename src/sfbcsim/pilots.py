@@ -42,7 +42,7 @@ class PilotPattern:
     """
 
     def __init__(self, n_subcarriers: int):
-        if n_subcarriers < PILOT_STRIDE + max(max(v) for v in _PORT_OFFSETS.values()):
+        if n_subcarriers <= PILOT_STRIDE + max(max(v) for v in _PORT_OFFSETS.values()):
             raise EstimationError(
                 f"{n_subcarriers} subcarriers leave fewer than 2 pilots per symbol")
         self.n_subcarriers = n_subcarriers
@@ -76,8 +76,8 @@ def pilot_values(pattern: PilotPattern, port: int, seed: int) -> list[np.ndarray
 
 class PilotPlan:
     """One pattern's pilots under one seed: `values` holds each pilot's value,
-    `interpolation` the estimate's weights (lo, w_lo, w_hi, w_time).  Per port, pilot
-    symbol and subcarrier, `lo` indexes the left pilot in the flat (port, pilot)
+    `interpolation` the estimate's weights (lo, w_lo, w_hi, w_time).  Per port,
+    subcarrier and pilot symbol, `lo` indexes the left pilot in the flat (port, pilot)
     samples, weighted `w_lo` (`w_hi` the next pilot)."""
 
     def __init__(self, pattern: PilotPattern, seed: int):
@@ -88,8 +88,8 @@ class PilotPlan:
         starts = np.flatnonzero(np.diff(self.l.ravel(), prepend=-1))
         seg, frac = zip(*[_linear_weights(ks, n_sc)
                           for ks in np.split(self.k.ravel(), starts[1:])])
-        lo = np.reshape(np.add(seg, starts[:, None]), (2, -1, n_sc))
-        frac = np.reshape(frac, lo.shape)
+        lo, frac = (np.reshape(a, (2, -1, n_sc)).swapaxes(1, 2).copy()  # C order for np.take
+                    for a in (np.add(seg, starts[:, None]), frac))
         seg, f = _linear_weights(PILOT_SYMBOLS, n_sym)
         w_time = np.zeros((n_sym, len(PILOT_SYMBOLS)))
         w_time[np.arange(n_sym), seg] = 1.0 - f
@@ -135,9 +135,9 @@ def _linear_weights(knots, n_targets: int) -> tuple[np.ndarray, np.ndarray]:
 def interpolate_channel(samples: np.ndarray, plan: PilotPlan) -> np.ndarray:
     """Spread channel samples at the pilots over every resource element.
 
-    `samples` has the shape (..., 2, pilots per port) of `plan.k`; the result
-    (..., 2, n_subcarriers, n_symbols).  Interpolation runs across frequency
-    first, then across time.
+    `samples` has the shape (..., 2, pilots per port) of `plan.k`; the result is
+    a fresh array in grid order, (..., 2, n_subcarriers, n_symbols).
+    Interpolation runs across frequency first, then across time.
     """
     lo, w_lo, w_hi, w_time = plan.interpolation
     samples = np.asarray(samples)
@@ -146,7 +146,7 @@ def interpolate_channel(samples: np.ndarray, plan: PilotPlan) -> np.ndarray:
     flat = samples.reshape(samples.shape[:-2] + (-1,))
     # np.take keeps the sample axes outermost, where flat[..., lo] puts lo's first
     per_symbol = w_lo * np.take(flat, lo, axis=-1) + w_hi * np.take(flat, lo + 1, axis=-1)
-    return np.swapaxes(w_time @ per_symbol, -1, -2)
+    return per_symbol @ w_time.T
 
 
 def estimate_channel(received_grids: np.ndarray, plan: PilotPlan) -> np.ndarray:

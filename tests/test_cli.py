@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from sfbcsim.channel import ENVIRONMENT_NAMES
 from sfbcsim.cli import (ConfigError, emit_csv, emit_json, emit_plot,
                          load_config, main)
 from sfbcsim.harness import BerRecord
@@ -322,6 +325,15 @@ class TestMain:
                      "bad_urban", "hilly_terrain"):
             assert name in out
         assert "17.2" in out  # hilly terrain's longest tap
+
+    def test_python_m_sfbcsim_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(PRESET_DIR.parents[1]))  # the src directory
+        done = subprocess.run([sys.executable, "-m", "sfbcsim", "envs"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        listed = [line.split(":")[0] for line in done.stdout.splitlines()]
+        assert listed == list(ENVIRONMENT_NAMES)
 
     def test_sweep_writes_csv(self, small_config, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -164,9 +164,6 @@ class TestPairMaps:
         assert np.all(np.diff(re0 % dims.n_symbols) >= 0)
         assert np.array_equal(re0 % dims.n_symbols, re1 % dims.n_symbols)
         assert engine.symbols_per_subframe == int(data.sum())
-        # the estimate is read in (l, k) order, at each pair's first RE
-        k, l = np.divmod(re0, dims.n_symbols)
-        assert np.array_equal(engine.re0_estimate, l * dims.n_subcarriers + k)
 
     def test_data_on_a_pilot_re_fails_the_build(self, monkeypatch):
         """The layout refuses a pair map that puts data on a pilot or null RE,

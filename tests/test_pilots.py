@@ -56,8 +56,14 @@ class TestPattern:
             assert len(data) == (48 if symbol in PILOT_SYMBOLS else 72)
 
     def test_too_few_subcarriers_rejected(self):
-        with pytest.raises(EstimationError):
-            PilotPattern(8)
+        for n_subcarriers in (8, 9):  # 9 leaves one pilot on the offset-3 symbols
+            with pytest.raises(EstimationError):
+                PilotPattern(n_subcarriers)
+
+    def test_smallest_pattern_has_finite_weights(self):
+        plan = PilotPlan(PilotPattern(10), seed=0)
+        assert all(np.all(np.isfinite(w)) for w in plan.interpolation[1:])
+        assert np.allclose(interpolate_channel(np.ones(plan.k.shape), plan), 1.0)
 
     def test_symbol_count_fixed_by_the_subframe(self):
         with pytest.raises(TypeError):
@@ -239,6 +245,10 @@ class TestAgainstDenseOracle:
 
         for _ in range(3):
             received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.array_equal(
-                estimate_channel(received, plan),
-                pilot_oracle.estimate_channel(received, pattern, seed, dims))
+            expected = pilot_oracle.estimate_channel(received, pattern, seed, dims)
+            assert np.array_equal(estimate_channel(received, plan), expected)
+            # [receive antenna, port, k, l], a fresh array in grid order
+            est = interpolate_channel(
+                normalize_pilots(received[..., plan.k, plan.l], plan.values), plan)
+            assert est.flags.c_contiguous
+            assert np.array_equal(est, expected.swapaxes(0, 1))
