@@ -65,14 +65,13 @@ def _pairs_with_n_rb(key: str, text: str, config: ScenarioConfig) -> None:
 
 # Keys of the paper's fixed 2x2 SFBC LTE FDD downlink frame: accepted only with
 # these values (case-insensitive) and not stored, as the simulation reads none
-# of them.  Fading follows k_factor whatever the channel_type; n_rb sets the
-# bandwidth and the FFT length, and max_bits (by default four frames) the budget.
+# of them.  n_rb sets the bandwidth and the FFT length, and max_bits (by default
+# four frames) the budget.
 _FIXED_KEYS = {
     "transmission_mode": _one_of("sfbc_2x2_downlink"),
     "duplex": _one_of("fdd"),
     "tdd_config": _one_of("0"),
     "structure": _one_of("frame"),
-    "channel_type": _one_of("rayleigh", "rician"),
     "bandwidth_mhz": _pairs_with_n_rb,
     "fft_size": _one_of("auto"),
     "n_frames": _one_of("4"),

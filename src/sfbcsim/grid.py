@@ -96,27 +96,24 @@ def strip_padding(padded: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return padded[..., lo:lo + n_subcarriers]
 
 
-def ofdm_modulate(grid_column: np.ndarray, fft_size: int, cp_len: int) -> np.ndarray:
+def ofdm_modulate(grid_column: np.ndarray, cp_len: int) -> np.ndarray:
     """Unitary IFFT of an already zero-padded column plus cyclic prefix.
 
-    Accepts any leading batch shape; the last axis must be fft_size.
-    Output length is fft_size + cp_len per column.
+    Accepts any leading batch shape; the FFT length is the last axis's, and
+    cp_len may not exceed it.  Output length is FFT length + cp_len per column.
     """
     grid_column = np.asarray(grid_column)
-    if grid_column.shape[-1] != fft_size:
-        raise ValueError(
-            f"column length {grid_column.shape[-1]} does not match fft_size {fft_size}")
+    if cp_len not in range((fft_size := grid_column.shape[-1]) + 1):
+        raise ValueError(f"cp_len {cp_len} outside [0, {fft_size}]")
     time = np.fft.ifft(np.fft.ifftshift(grid_column, axes=-1), norm="ortho", axis=-1)
     return np.concatenate([time[..., fft_size - cp_len:], time], axis=-1)
 
 
-def ofdm_demodulate(samples: np.ndarray, fft_size: int, cp_len: int,
-                    n_subcarriers: int) -> np.ndarray:
-    """Strip the cyclic prefix, apply the unitary FFT, and drop the padding."""
+def ofdm_demodulate(samples: np.ndarray, cp_len: int, n_subcarriers: int) -> np.ndarray:
+    """Drop cp_len samples of cyclic prefix, FFT the rest (unitary), strip the padding."""
     samples = np.asarray(samples)
-    if samples.shape[-1] != fft_size + cp_len:
-        raise ValueError(
-            f"expected {fft_size + cp_len} samples per symbol, got {samples.shape[-1]}")
+    if cp_len not in range((fft_size := samples.shape[-1] - cp_len) + 1):
+        raise ValueError(f"cp_len {cp_len} outside [0, {fft_size}]")
     body = samples[..., cp_len:]
     freq = np.fft.fftshift(np.fft.fft(body, norm="ortho", axis=-1), axes=-1)
     return strip_padding(freq, n_subcarriers)

@@ -71,6 +71,9 @@ ANTENNA_AMPLITUDE = 1.0 / math.sqrt(2.0)
 ERROR_TARGET = 100  # bit errors after which a sweep point may stop
 
 MAX_SNR_DB = 1000.0  # a configured SNR's magnitude: the noise stage overflows near 3,080 dB
+# a point's bit budget: every trial carries at least 1,824 bits (4-QAM, 6 RB), so a point
+# seeds under 2**42 / 1824 + 64 < 2**32 trials and each trial index fits a spawn-key word
+MAX_BITS = 2**42
 
 # resource elements per stacked call: per-trial cost flattens at sixteen 6-RB trials
 _STACK_RES = 16384
@@ -98,8 +101,9 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
 def seed_sequence_state(entropy, keys=(), n_words: int = 1) -> np.ndarray:
     """SeedSequence(entropy, spawn_key=key).generate_state(n_words, np.uint64) per lane,
     in numpy's uint32 hash arithmetic: `entropy` is one int of any size or a uint64
-    array, `keys` one spawn key or many on leading axes, with entries below 2**32."""
-    keys = np.asarray(keys, dtype=np.uint32)
+    array, `keys` one spawn key or many on leading axes, with entries in [0, 2**32)."""
+    if not np.array_equal(keys, keys := np.asarray(keys, dtype=np.uint32)):  # none wrapped
+        raise ValueError("spawn key entries must lie in [0, 2**32)")
     if np.ndim(entropy) == 0:
         if (e := operator.index(entropy)) < 0:
             raise ValueError(f"entropy must be non-negative, got {e}")
@@ -189,10 +193,10 @@ class ScenarioConfig:
             raise ValueError(f"pairing must be one of {sfbc.PAIRINGS}")
         if self.csi not in ("perfect", "estimated"):
             raise ValueError("csi must be 'perfect' or 'estimated'")
-        if self.min_bits < 10_000:
-            raise ValueError(f"min_bits must be at least 10000, got {self.min_bits}")
-        if self.max_bits is not None and self.max_bits < self.min_bits:
-            raise ValueError("max_bits must be >= min_bits")
+        if not 10_000 <= self.min_bits <= MAX_BITS:
+            raise ValueError(f"min_bits must lie in [10000, 2**42], got {self.min_bits}")
+        if self.max_bits is not None and not self.min_bits <= self.max_bits <= MAX_BITS:
+            raise ValueError("max_bits must be >= min_bits and at most 2**42")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # equal scenarios store, and so hash, equal values: the environment's canonical

@@ -81,10 +81,9 @@ class TestLoadConfig:
 
     def test_fixed_keys_case_insensitive_and_not_stored(self, tmp_path):
         path = tmp_path / "upper.cfg"
-        path.write_text("duplex = FDD\nchannel_type = Rician\nfft_size = AUTO\n"
-                        "n_frames = 4\nsnr_db = 0\n")
+        path.write_text("duplex = FDD\nfft_size = AUTO\nn_frames = 4\nsnr_db = 0\n")
         cfg = load_config(path)
-        for key in ("duplex", "channel_type", "fft_size", "n_frames"):
+        for key in ("duplex", "fft_size", "n_frames"):
             assert not hasattr(cfg, key)
 
     @pytest.mark.parametrize("fft_size", [100, 64])
@@ -277,6 +276,19 @@ class TestMain:
         path.write_text("modulation = 8\nsnr_db = 0\n")
         assert main(["validate", str(path)]) == 1
         assert "modulation must be one of (4, 16, 64), got 8" in capsys.readouterr().err
+
+    def test_validate_channel_type_exits_one(self, tmp_path, capsys):
+        # fading follows k_factor alone, so no file may claim a Rayleigh channel
+        path = tmp_path / "rayleigh.cfg"
+        path.write_text("channel_type = rayleigh\nsnr_db = 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert "unknown field 'channel_type'" in capsys.readouterr().err
+
+    def test_validate_bit_budget_beyond_the_bound_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "budget.cfg"
+        path.write_text("min_bits = 18446744073709551616\nsnr_db = 0\n")  # 2**64
+        assert main(["validate", str(path)]) == 1
+        assert "min_bits must lie in [10000, 2**42]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["1000.5", "-1001", "3085", "-4000"])
     def test_validate_out_of_range_snr_exits_one(self, tmp_path, capsys, snr):

@@ -69,7 +69,7 @@ class TestOfdmTransformPair:
     def test_impulse_gives_constant_modulus(self):
         col = np.zeros(8, dtype=complex)
         col[0] = 1.0
-        time = ofdm_modulate(col, 8, 2)
+        time = ofdm_modulate(col, 2)
         assert time.shape == (10,)
         assert np.allclose(np.abs(time), np.abs(time[0]))
 
@@ -77,26 +77,30 @@ class TestOfdmTransformPair:
     def test_round_trip(self, n_rb):
         dims = GridDimensions(n_rb)
         v = random_column(dims.n_subcarriers, seed=n_rb)
-        time = ofdm_modulate(zero_pad(v, dims.fft_size), dims.fft_size, dims.cp_len)
-        back = ofdm_demodulate(time, dims.fft_size, dims.cp_len, dims.n_subcarriers)
+        time = ofdm_modulate(zero_pad(v, dims.fft_size), dims.cp_len)
+        back = ofdm_demodulate(time, dims.cp_len, dims.n_subcarriers)
         assert np.max(np.abs(back - v)) < 1e-10
 
     def test_energy_preserved_excluding_cp(self):
         dims = GridDimensions(6)
         col = zero_pad(random_column(72, seed=9), dims.fft_size)
-        time = ofdm_modulate(col, dims.fft_size, dims.cp_len)
+        time = ofdm_modulate(col, dims.cp_len)
         body = time[dims.cp_len:]
         assert abs(np.sum(np.abs(body) ** 2) - np.sum(np.abs(col) ** 2)) < 1e-10
 
     def test_all_zero(self):
         dims = GridDimensions(6)
-        time = ofdm_modulate(np.zeros(128, dtype=complex), 128, dims.cp_len)
-        out = ofdm_demodulate(time, 128, dims.cp_len, 72)
+        time = ofdm_modulate(np.zeros(128, dtype=complex), dims.cp_len)
+        out = ofdm_demodulate(time, dims.cp_len, 72)
         assert np.all(out == 0)
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            ofdm_demodulate(np.zeros(100, dtype=complex), 128, 10, 72)
+    def test_cp_len_outside_the_symbol_rejected(self):
+        # the FFT length is read from the input: an 8-point column, or 8 samples plus prefix
+        for cp_len in (-1, 10):
+            with pytest.raises(ValueError, match="cp_len"):
+                ofdm_modulate(np.ones(8, dtype=complex), cp_len)
+            with pytest.raises(ValueError, match="cp_len"):
+                ofdm_demodulate(np.ones(8 + max(cp_len, 0), dtype=complex), cp_len, 4)
 
     @pytest.mark.parametrize("delay", [1, 4, 10])
     def test_delay_within_cp_is_pure_phase_ramp(self, delay):
@@ -104,9 +108,9 @@ class TestOfdmTransformPair:
         # per-subcarrier ramp exp(-2j pi f_k d / N) with no leakage
         dims = GridDimensions(6)
         v = random_column(72, seed=delay)
-        time = ofdm_modulate(zero_pad(v, dims.fft_size), dims.fft_size, dims.cp_len)
+        time = ofdm_modulate(zero_pad(v, dims.fft_size), dims.cp_len)
         delayed = np.concatenate([np.zeros(delay, dtype=complex), time])[:time.size]
-        out = ofdm_demodulate(delayed, dims.fft_size, dims.cp_len, 72)
+        out = ofdm_demodulate(delayed, dims.cp_len, 72)
         bins = np.arange(72) - 36
         expected = v * np.exp(-2j * np.pi * bins * delay / dims.fft_size)
         assert np.max(np.abs(out - expected)) < 1e-10
@@ -114,6 +118,6 @@ class TestOfdmTransformPair:
     def test_batched_columns(self):
         dims = GridDimensions(6)
         cols = np.stack([random_column(72, seed=i) for i in range(4)])
-        time = ofdm_modulate(zero_pad(cols, dims.fft_size), dims.fft_size, dims.cp_len)
-        back = ofdm_demodulate(time, dims.fft_size, dims.cp_len, 72)
+        time = ofdm_modulate(zero_pad(cols, dims.fft_size), dims.cp_len)
+        back = ofdm_demodulate(time, dims.cp_len, 72)
         assert np.max(np.abs(back - cols)) < 1e-10

@@ -57,6 +57,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             make_config(min_bits=5000)
 
+    def test_bit_budget_bounded(self):
+        # past 2**42 bits a point could reach trial 2**32, beyond a spawn-key word
+        for overrides in ({"max_bits": 2**42 + 1}, {"min_bits": 2**42 + 1}):
+            with pytest.raises(ValueError, match="2\\*\\*42"):
+                make_config(**overrides)
+        assert make_config(min_bits=2**42, max_bits=2**42).max_bits == 2**42
+
     def test_unknown_environment_rejected(self):
         with pytest.raises(ValueError):
             make_config(environment="moon")
@@ -327,6 +334,13 @@ class TestSeedSplitting:
             seed_sequence_state(1, [2**32])
         with pytest.raises(ValueError):
             derive_seed(-1, 0)
+
+    @pytest.mark.parametrize("key", [2**32, -1])
+    def test_key_array_entries_do_not_wrap(self, key):
+        # the engine's trial indices arrive as an int64 array; a cast alone would
+        # read 2**32 as key 0 and -1 as key 2**32 - 1
+        with pytest.raises(ValueError, match="spawn key"):
+            seed_sequence_state(1, np.array([key]))
 
 
 configs = st.builds(

@@ -46,8 +46,8 @@ def run_trial(cfg, snr_db, trial_seed: int) -> tuple[int, int]:
     pilots.insert_pilots(grids, plan)
     grids *= ANTENNA_AMPLITUDE
 
-    tx_time = ofdm_modulate(zero_pad(np.moveaxis(grids, 1, 2), fft), fft, cp)
-    tx_freq = np.moveaxis(ofdm_demodulate(tx_time, fft, cp, n_sc), 2, 1)
+    tx_time = ofdm_modulate(zero_pad(np.moveaxis(grids, 1, 2), fft), cp)
+    tx_freq = np.moveaxis(ofdm_demodulate(tx_time, cp, n_sc), 2, 1)
     h = channel.realize_channel(env, fading, dims, derive_seed(trial_seed, 1))
     received = channel.apply_channel(tx_freq, h)
     # ensemble-average received data-RE power: unit-energy links
